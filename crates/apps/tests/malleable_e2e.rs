@@ -298,3 +298,40 @@ fn back_to_back_resizes_return_to_the_original_size() {
     assert_eq!(mpi.epoch(comm).unwrap(), 2);
     assert_eq!(all_tree_completions_ok(&hooks, &cfg), 2);
 }
+
+#[test]
+fn shrinking_a_world_larger_than_255_ranks_commits_with_an_exact_digest() {
+    // Regression: the coordinator counted its protocol sends (FREEZE
+    // broadcast, commit verdicts) in `u8`s. With 257 other members the
+    // commit path overflowed — a panic in debug builds, which is how this
+    // test fails on the old code — and, in release, under-counted its own
+    // send completions, so the surplus `OpDone`s reached the application
+    // as if its compute ops had finished.
+    const RANKS: u32 = 258;
+    let mut sim = cluster(RANKS as usize);
+    let cfg = MalleableTreeConfig {
+        items: RANKS * 32,
+        ..MalleableTreeConfig::small()
+    };
+    let (mpi, comm, hooks, pids) = launch_tree(&mut sim, &cfg, RANKS);
+
+    sim.run_until(t(0.6));
+    command(
+        &mut sim,
+        pids[0],
+        HostId(0),
+        &format!("shrink:{}", RANKS - 1),
+    );
+    sim.run_until(t(600.0));
+
+    assert_eq!(
+        hooks.resize_count(ResizeKind::Shrink, MigrationOutcome::Committed),
+        1
+    );
+    assert_eq!(mpi.comm_size(comm).unwrap(), RANKS - 1);
+    assert!(
+        !sim.is_alive(pids[RANKS as usize - 1]),
+        "retired rank exited"
+    );
+    assert_eq!(all_tree_completions_ok(&hooks, &cfg), RANKS as usize - 1);
+}

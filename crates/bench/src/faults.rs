@@ -356,7 +356,6 @@ pub fn registry_chaos(
         DeployConfig {
             overload_confirm: SimDuration::from_secs(40),
             obs: obs.clone(),
-            registry_ft: true,
             ..DeployConfig::default()
         },
     );

@@ -51,12 +51,6 @@ pub struct DeployConfig {
     /// `SimConfig::obs` / `HpcmConfig::obs` to the same handle for a
     /// cluster-wide event stream.
     pub obs: Obs,
-    /// Turn on registry fault tolerance ([`crate::RegistryFt`]) for every
-    /// registry deployed by [`deploy_tree`]: parent-liveness detection via
-    /// report ACKs, orphan re-parenting to the grandparent carried in the
-    /// tree topology, escalation deadlines and stale-health decay. Off by
-    /// default so fault-free traces stay byte-identical.
-    pub registry_ft: bool,
     /// Malleable applications the registry may grow/shrink with
     /// `expand:`/`shrink:` reconfiguration commands (consumed by [`deploy`];
     /// tree deployments ignore it — resize decisions are a single-registry
@@ -79,7 +73,6 @@ impl Default for DeployConfig {
             adaptive: None,
             push: true,
             obs: Obs::disabled(),
-            registry_ft: false,
             malleable_jobs: Vec::new(),
             resize_cooldown: SimDuration::from_secs(30),
         }
@@ -114,39 +107,7 @@ pub fn deploy(
         SpawnOpts::named("ars_registry"),
     );
 
-    let mut monitors = Vec::new();
-    let mut commanders = Vec::new();
-    for &host in monitored {
-        let state_source = if cfg.use_paper_rules {
-            StateSource::Rules(ars_rules::RuleSet::paper())
-        } else {
-            StateSource::Policy(cfg.policy.clone())
-        };
-        // Commander first so the monitor can be pointed at it: after a
-        // registry restart the monitor relays the `ReRegister` nudge to the
-        // local commander, which re-sends its own `Register`.
-        let commander = sim.spawn(
-            host,
-            Box::new(Commander::new(registry).with_obs(cfg.obs.clone())),
-            SpawnOpts::named("ars_commander"),
-        );
-        commanders.push(commander);
-        let mon_cfg = MonitorConfig {
-            registry,
-            state_source,
-            freq: cfg.freq,
-            ambient: cfg.ambient.clone(),
-            overload_confirm: cfg.overload_confirm,
-            adaptive: cfg.adaptive.clone(),
-            push: cfg.push,
-            commander: Some(commander),
-        };
-        monitors.push(sim.spawn(
-            host,
-            Box::new(Monitor::new(mon_cfg, schemas.clone()).with_obs(cfg.obs.clone())),
-            SpawnOpts::named("ars_monitor"),
-        ));
-    }
+    let (monitors, commanders) = spawn_host_entities(sim, monitored, &[registry], &cfg, &schemas);
 
     Deployment {
         registry,
@@ -154,49 +115,6 @@ pub fn deploy(
         commanders,
         hooks,
         schemas,
-    }
-}
-
-/// Handles to a deployed two-level registry hierarchy.
-pub struct HierarchicalDeployment {
-    /// The root (parent) registry routing cross-domain searches.
-    pub root: Pid,
-    /// One leaf registry per domain, in domain order.
-    pub leaves: Vec<Pid>,
-    /// Monitor process per monitored host (same order as `monitored`).
-    pub monitors: Vec<Pid>,
-    /// Commander process per monitored host.
-    pub commanders: Vec<Pid>,
-    /// Shared decision log (all registries write to it).
-    pub hooks: ReschedHooks,
-    /// Shared application-schema book.
-    pub schemas: SchemaBook,
-}
-
-/// Deploy a two-level registry hierarchy: a root registry plus `domains`
-/// leaf registries on `registry_host`, with the hosts in `monitored`
-/// assigned to domains round-robin. Each leaf pushes periodic
-/// [`ars_xmlwire::Message::DomainReport`] summaries to the root, which the
-/// root uses to probe the freest sibling domain first when a leaf
-/// escalates a candidate search.
-///
-/// This is [`deploy_tree`] with a single fan-out level; the spawn order
-/// and process names are identical to what this function always produced.
-pub fn deploy_hierarchical(
-    sim: &mut Sim,
-    registry_host: HostId,
-    monitored: &[HostId],
-    domains: usize,
-    cfg: DeployConfig,
-) -> HierarchicalDeployment {
-    let t = deploy_tree(sim, registry_host, monitored, &[domains.max(1)], cfg);
-    HierarchicalDeployment {
-        root: t.root,
-        leaves: t.leaves,
-        monitors: t.monitors,
-        commanders: t.commanders,
-        hooks: t.hooks,
-        schemas: t.schemas,
     }
 }
 
@@ -250,7 +168,6 @@ pub fn deploy_tree(
     root_cfg.name = format!("root@h{}", registry_host.0);
     root_cfg.lease = cfg.lease;
     root_cfg.obs = cfg.obs.clone();
-    root_cfg.ft.enabled = cfg.registry_ft;
     let root = sim.spawn(
         registry_host,
         Box::new(RegistryScheduler::new(
@@ -283,17 +200,11 @@ pub fn deploy_tree(
             }
             node_cfg.parent = Some(Endpoint::from(parent));
             node_cfg.obs = cfg.obs.clone();
-            if cfg.registry_ft {
-                node_cfg.ft.enabled = true;
-                // The grandparent is this node's fallback parent: the
-                // node above its parent, or `None` when the parent is
-                // already the root (those children buffer-and-retry).
-                node_cfg.ft.grandparent = if l >= 1 {
-                    Some(Endpoint::from(levels[l - 1][(i / f) / fanout[l - 1]]))
-                } else {
-                    None
-                };
-            }
+            // The grandparent is this node's fallback parent: the node
+            // above its parent, or `None` when the parent is already the
+            // root (those children buffer-and-retry).
+            node_cfg.grandparent =
+                (l >= 1).then(|| Endpoint::from(levels[l - 1][(i / f) / fanout[l - 1]]));
             let spawn_name = if is_leaf {
                 format!("ars_registry_d{i}")
             } else {
@@ -313,15 +224,42 @@ pub fn deploy_tree(
     }
     let leaves = levels[depth].clone();
 
+    let (monitors, commanders) = spawn_host_entities(sim, monitored, &leaves, &cfg, &schemas);
+
+    TreeDeployment {
+        root,
+        levels,
+        leaves,
+        monitors,
+        commanders,
+        hooks,
+        schemas,
+    }
+}
+
+/// Spawn a commander + monitor pair on every host in `monitored`, host `i`
+/// reporting to `registries[i % registries.len()]` (one registry: a flat
+/// deployment; the leaves of a tree: round-robin domains). Returns the
+/// monitor and commander pids in `monitored` order.
+fn spawn_host_entities(
+    sim: &mut Sim,
+    monitored: &[HostId],
+    registries: &[Pid],
+    cfg: &DeployConfig,
+    schemas: &SchemaBook,
+) -> (Vec<Pid>, Vec<Pid>) {
     let mut monitors = Vec::new();
     let mut commanders = Vec::new();
     for (i, &host) in monitored.iter().enumerate() {
-        let registry = leaves[i % leaves.len()];
+        let registry = registries[i % registries.len()];
         let state_source = if cfg.use_paper_rules {
             StateSource::Rules(ars_rules::RuleSet::paper())
         } else {
             StateSource::Policy(cfg.policy.clone())
         };
+        // Commander first so the monitor can be pointed at it: after a
+        // registry restart the monitor relays the `ReRegister` nudge to the
+        // local commander, which re-sends its own `Register`.
         let commander = sim.spawn(
             host,
             Box::new(Commander::new(registry).with_obs(cfg.obs.clone())),
@@ -344,14 +282,5 @@ pub fn deploy_tree(
             SpawnOpts::named("ars_monitor"),
         ));
     }
-
-    TreeDeployment {
-        root,
-        levels,
-        leaves,
-        monitors,
-        commanders,
-        hooks,
-        schemas,
-    }
+    (monitors, commanders)
 }

@@ -30,14 +30,11 @@ pub mod registry;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveConfirm};
 pub use commander::Commander;
-pub use deploy::{
-    deploy, deploy_hierarchical, deploy_tree, DeployConfig, Deployment, HierarchicalDeployment,
-    TreeDeployment,
-};
+pub use deploy::{deploy, deploy_tree, DeployConfig, Deployment, TreeDeployment};
 pub use hooks::{DecisionRecord, ReschedHooks, ReschedLog, SchemaBook, CONTROL_TAG};
 pub use monitor::{Monitor, MonitorConfig, StateSource};
 pub use regcore::{
     CoreEffect, CoreInput, DomainHealth, Endpoint, HostEntry, Liveness, LogEffect, MalleableJob,
-    RegistryConfig, RegistryCore, RegistryFt, SelectionPolicy, TimerId,
+    RegistryConfig, RegistryCore, SelectionPolicy, TimerId,
 };
 pub use registry::RegistryScheduler;

@@ -83,7 +83,7 @@ struct Tx {
     commits: usize,
     /// FREEZE broadcast sends whose OpDone has not been seen yet. Ops run
     /// serially, so these completions always precede transfer-send ones.
-    proto_sends: u8,
+    proto_sends: u32,
     /// The migration checkpoint (`None` for resizes — joiner checkpoints
     /// are cut per-rank at transfer time).
     saved: Option<SavedState>,
@@ -127,7 +127,7 @@ enum Mode<A> {
     /// waiting for every READY and FROZEN.
     SourcePrepare { app: A, tx: Tx },
     /// Coordinator, transfer phase: framed checkpoint sends in flight.
-    SourceSending { app: A, tx: Tx, sends_left: u8 },
+    SourceSending { app: A, tx: Tx, sends_left: u32 },
     /// Coordinator, transfer phase: checkpoints sent, waiting for the
     /// children's COMMITs.
     SourceAwaitCommit { app: A, tx: Tx },
@@ -184,7 +184,7 @@ pub struct HpcmShell<A: MigratableApp> {
     deadline: u64,
     /// Checkpoint-send ops still in flight after a rollback; their
     /// completions must not be delivered to the application.
-    protocol_sends_in_flight: u8,
+    protocol_sends_in_flight: u32,
     /// A coordinator asked us to freeze for a resize; honored at the next
     /// migration-safe poll-point, cancelled by an abort RESUME.
     freeze: Option<Pid>,
@@ -602,7 +602,7 @@ impl<A: MigratableApp> HpcmShell<A> {
         for (_, p) in &members {
             ctx.send(*p, TAG_HPCM_FREEZE, Payload::Empty);
         }
-        let proto_sends = members.len() as u8;
+        let proto_sends = members.len() as u32;
         ctx.trace(
             TraceKind::Migration,
             format!(
@@ -809,7 +809,7 @@ impl<A: MigratableApp> HpcmShell<A> {
             from_ranks: k,
             to_ranks: new_size,
         });
-        let sends_left = tx.children.len() as u8;
+        let sends_left = tx.children.len() as u32;
         for (child, blob) in tx.children.iter().zip(&blobs) {
             ctx.send(
                 *child,
@@ -939,7 +939,7 @@ impl<A: MigratableApp> HpcmShell<A> {
         // Verdicts. Ops are serial, so every send below completes (and is
         // swallowed via protocol_sends_in_flight) before any app op the
         // resumed application queues.
-        let mut proto: u8 = 0;
+        let mut proto: u32 = 0;
         for (rank, pid) in &tx.members {
             if *rank < new_size {
                 ctx.send(*pid, TAG_HPCM_RESUME, Payload::Bytes(vec![1]));
@@ -967,7 +967,7 @@ impl<A: MigratableApp> HpcmShell<A> {
                 continue;
             }
             ctx.send_sized(pid, TAG_HPCM_LAZY, Payload::Empty, *bytes);
-            proto = proto.saturating_add(1);
+            proto += 1;
         }
         // The coordinator keeps its identity: messages held during the
         // transaction go back into our own mailbox.
@@ -1019,7 +1019,7 @@ impl<A: MigratableApp> HpcmShell<A> {
                 outcome.moved_bytes
             ),
         );
-        self.protocol_sends_in_flight = self.protocol_sends_in_flight.saturating_add(proto);
+        self.protocol_sends_in_flight += proto;
         self.mode = Mode::Running { app };
         // Resume: the app re-issues the ops for its current phase, now in
         // the resized world.
@@ -1050,19 +1050,13 @@ impl<A: MigratableApp> HpcmShell<A> {
         // Ops run serially: at most one protocol send is actually in
         // flight; the rest were still pending and are now cleared. Its
         // completion must not be delivered to the application.
-        self.protocol_sends_in_flight = if sends_left as u32 + tx.proto_sends as u32 > 0 {
-            1
-        } else {
-            0
-        };
+        self.protocol_sends_in_flight = u32::from(sends_left + tx.proto_sends > 0);
         // Abort notices: frozen members resume in the old world; members
         // that never reached a poll-point cancel their pending freeze.
         for (_, pid) in &tx.members {
             ctx.send(*pid, TAG_HPCM_RESUME, Payload::Bytes(vec![0]));
         }
-        self.protocol_sends_in_flight = self
-            .protocol_sends_in_flight
-            .saturating_add(tx.members.len() as u8);
+        self.protocol_sends_in_flight += tx.members.len() as u32;
         for env in self.held.drain(..) {
             ctx.requeue_envelope(env);
         }

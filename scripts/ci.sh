@@ -73,7 +73,7 @@ ARS_CHAOS_SEEDS="3,5,11,12,13,17,23,42" timeout 300 \
 
 echo "== registry fault zero-cost gate =="
 # An armed-but-idle registry fault engine (plan present, nothing fires)
-# must leave tree traces byte-identical, with fault tolerance off and on.
+# must leave tree traces byte-identical.
 cargo test --release -q --test chaos -- \
     an_armed_but_idle_registry_fault_engine_is_byte_identical
 
@@ -90,6 +90,14 @@ echo "== scale smoke (N = 4096, hierarchical + sharded) =="
 # wall budget and still migrate; catches superlinear regressions in the
 # kernel hot path long before the full bench matrix would.
 timeout 180 ./target/release/bench_scale --smoke
+
+echo "== performance ledger (benchmark/) =="
+# benchmark/ is a workspace of its own, so nothing above compiles it: build
+# and test it against the current layer APIs, then run every workload at
+# CI size (checks and output shape only, no timing claims).
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+timeout 120 bash benchmark/run.sh --quick
 
 echo "== allocation lints (sim crates) =="
 # The kernel hot path is allocation-free by construction; deny the two

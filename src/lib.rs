@@ -99,10 +99,9 @@ pub mod prelude {
     pub use ars_mpisim::{CommId, Mpi, Rank, ReduceOp, TaskId};
     pub use ars_obs::{Obs, ObsEvent, ObsHistogram, ObsKind, ObsRecord};
     pub use ars_rescheduler::{
-        deploy, deploy_hierarchical, deploy_tree, Commander, DeployConfig, Deployment,
-        DomainHealth, Endpoint, HierarchicalDeployment, Liveness, MalleableJob, Monitor,
-        MonitorConfig, RegistryConfig, RegistryCore, RegistryFt, RegistryScheduler, ReschedHooks,
-        SchemaBook, StateSource, TreeDeployment,
+        deploy, deploy_tree, Commander, DeployConfig, Deployment, DomainHealth, Endpoint, Liveness,
+        MalleableJob, Monitor, MonitorConfig, RegistryConfig, RegistryCore, RegistryScheduler,
+        ReschedHooks, SchemaBook, StateSource, TreeDeployment,
     };
     pub use ars_rules::{
         metric_keys, Condition, HostState, MonitoringFrequency, Policy, ResizeAction, ResizeMetric,

@@ -245,7 +245,6 @@ fn tree_chaos_run(seed: u64) -> Vec<(u64, String)> {
         &[2, 2],
         DeployConfig {
             overload_confirm: SimDuration::from_secs(40),
-            registry_ft: true,
             ..DeployConfig::default()
         },
     );
@@ -341,9 +340,8 @@ fn tree_chaos_mid_registry_crash_keeps_all_apps_completing() {
 fn an_armed_but_idle_registry_fault_engine_is_byte_identical() {
     // Zero-cost gate: when no registry fault actually fires inside the
     // horizon, installing the registry fault engine (vs no fault layer at
-    // all) must not perturb a single trace event — with the fault
-    // tolerance layer off *and* on.
-    let story = |plan: FaultPlan, ft: bool| -> Vec<(u64, String)> {
+    // all) must not perturb a single trace event.
+    let story = |plan: FaultPlan| -> Vec<(u64, String)> {
         let mut sim = Sim::new(
             (0..5)
                 .map(|i| HostConfig::named(format!("ws{i}")))
@@ -363,7 +361,6 @@ fn an_armed_but_idle_registry_fault_engine_is_byte_identical() {
             &[2, 2],
             DeployConfig {
                 overload_confirm: SimDuration::from_secs(40),
-                registry_ft: ft,
                 ..DeployConfig::default()
             },
         );
@@ -379,14 +376,12 @@ fn an_armed_but_idle_registry_fault_engine_is_byte_identical() {
             .map(|e| (e.t.as_micros(), e.detail.clone()))
             .collect()
     };
-    for ft in [false, true] {
-        let armed = FaultPlan::none().at(t(1e9), Fault::RegistryCrash { pid: 0 });
-        assert_eq!(
-            story(FaultPlan::none(), ft),
-            story(armed, ft),
-            "ft={ft}: an armed-but-idle registry fault engine perturbed the trace"
-        );
-    }
+    let armed = FaultPlan::none().at(t(1e9), Fault::RegistryCrash { pid: 0 });
+    assert_eq!(
+        story(FaultPlan::none()),
+        story(armed),
+        "an armed-but-idle registry fault engine perturbed the trace"
+    );
 }
 
 #[test]
