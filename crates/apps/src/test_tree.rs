@@ -52,21 +52,6 @@ impl TestTreeConfig {
         }
     }
 
-    /// Roughly the paper's scale: a long-running compute job whose
-    /// migration moves tens of megabytes.
-    pub fn paper_scale() -> Self {
-        TestTreeConfig {
-            trees: 16,
-            levels: 16,
-            node_cost_build: 1.2e-4,
-            node_cost_sort: 1.6e-4,
-            node_cost_sum: 0.6e-4,
-            chunk_nodes: 4096,
-            rss_kb: 65_536,
-            seed: 42,
-        }
-    }
-
     /// Nodes per tree.
     pub fn nodes(&self) -> u64 {
         (1u64 << self.levels) - 1

@@ -4,10 +4,12 @@
 
 use ars_apps::{MalleableStencil, MalleableStencilConfig, MalleableTree, MalleableTreeConfig};
 use ars_hpcm::{
-    dest_file_path, HpcmConfig, HpcmHooks, HpcmShell, MigrationOutcome, ResizeKind, MIGRATE_SIGNAL,
+    dest_file_path, AppStatus, CodecError, HpcmConfig, HpcmHooks, HpcmShell, MigratableApp,
+    MigrationOutcome, ResizeKind, SavedState, MIGRATE_SIGNAL,
 };
 use ars_mpisim::{CommId, Mpi};
-use ars_sim::{HostId, Pid, Sim, SimConfig};
+use ars_obs::Obs;
+use ars_sim::{Ctx, Fault, HostId, Pid, Sim, SimConfig, TraceKind, Wake};
 use ars_simcore::SimTime;
 use ars_simhost::HostConfig;
 
@@ -41,17 +43,29 @@ fn launch_tree(
     cfg: &MalleableTreeConfig,
     k: u32,
 ) -> (Mpi, CommId, HpcmHooks, Vec<Pid>) {
+    launch_tree_as(sim, cfg, k, &HpcmConfig::default(), |tree| tree)
+}
+
+/// [`launch_tree`] with a chosen shell configuration and each rank's
+/// application passed through `wrap` first.
+fn launch_tree_as<A: MigratableApp>(
+    sim: &mut Sim,
+    cfg: &MalleableTreeConfig,
+    k: u32,
+    hpcm: &HpcmConfig,
+    wrap: impl Fn(MalleableTree) -> A,
+) -> (Mpi, CommId, HpcmHooks, Vec<Pid>) {
     let mpi = Mpi::new();
     let comm = mpi.create_comm(vec![]);
     let hooks = HpcmHooks::new();
     let mut pids = Vec::new();
     for rank in 0..k {
-        let app = MalleableTree::new(cfg.clone(), mpi.clone(), comm);
+        let app = wrap(MalleableTree::new(cfg.clone(), mpi.clone(), comm));
         let pid = HpcmShell::spawn_on(
             sim,
             HostId(rank),
             app,
-            HpcmConfig::default(),
+            hpcm.clone(),
             Some(mpi.clone()),
             hooks.clone(),
         );
@@ -60,6 +74,14 @@ fn launch_tree(
         pids.push(pid);
     }
     (mpi, comm, hooks, pids)
+}
+
+fn traced(sim: &Sim, kind: TraceKind, needle: &str) -> usize {
+    let trace = &sim.kernel().trace;
+    trace
+        .of_kind(kind)
+        .filter(|e| e.detail.contains(needle))
+        .count()
 }
 
 fn launch_stencil(
@@ -169,6 +191,70 @@ fn expand_to_unknown_host_is_refused_without_a_transaction() {
     sim.run_until(t(120.0));
 
     assert!(hooks.last_resize().is_none(), "refused before any record");
+    assert_eq!(all_tree_completions_ok(&hooks, &cfg), 2);
+}
+
+/// A malleable tree that cannot cut a join checkpoint for rank 3.
+struct NoJoinAtRank3(MalleableTree);
+
+impl MigratableApp for NoJoinAtRank3 {
+    fn app_name(&self) -> String {
+        self.0.app_name()
+    }
+    fn schema(&self) -> ars_xmlwire::ApplicationSchema {
+        self.0.schema()
+    }
+    fn step(&mut self, ctx: &mut Ctx<'_>, wake: Wake) -> AppStatus {
+        self.0.step(ctx, wake)
+    }
+    fn save(&self) -> SavedState {
+        self.0.save()
+    }
+    fn restore(eager: &[u8], mpi: Option<&Mpi>) -> Result<Self, CodecError> {
+        MalleableTree::restore(eager, mpi).map(NoJoinAtRank3)
+    }
+    fn result_digest(&self) -> u64 {
+        self.0.result_digest()
+    }
+    fn resize_comm(&self) -> Option<CommId> {
+        self.0.resize_comm()
+    }
+    fn save_for_join(&self, rank: u32, new_size: u32) -> Option<SavedState> {
+        if rank == 3 {
+            return None;
+        }
+        self.0.save_for_join(rank, new_size)
+    }
+}
+
+#[test]
+fn expand_the_application_cannot_checkpoint_is_refused_before_any_side_effect() {
+    // k = 2 → 4: the join checkpoint for rank 2 can be cut, the one for
+    // rank 3 cannot. The whole request must be refused at the poll-point —
+    // not after rank 2's joiner was spawned and the world frozen.
+    let mut sim = cluster(4);
+    let cfg = MalleableTreeConfig::small();
+    let (mpi, comm, hooks, pids) =
+        launch_tree_as(&mut sim, &cfg, 2, &HpcmConfig::default(), NoJoinAtRank3);
+
+    sim.run_until(t(0.6));
+    let spawned = traced(&sim, TraceKind::Spawn, "");
+    command(&mut sim, pids[0], HostId(0), "expand:4:ws2,ws3");
+    sim.run_until(t(120.0));
+
+    assert_eq!(
+        traced(
+            &sim,
+            TraceKind::Migration,
+            "expand refused: application does not support joining"
+        ),
+        1
+    );
+    assert!(hooks.last_resize().is_none(), "refused before any record");
+    assert_eq!(traced(&sim, TraceKind::Spawn, ""), spawned, "no joiner");
+    assert_eq!(traced(&sim, TraceKind::Migration, "frozen"), 0, "no FREEZE");
+    assert_eq!(traced(&sim, TraceKind::Recovery, ""), 0, "nothing to undo");
+    assert_eq!(mpi.epoch(comm).unwrap(), 0);
     assert_eq!(all_tree_completions_ok(&hooks, &cfg), 2);
 }
 
@@ -334,4 +420,88 @@ fn shrinking_a_world_larger_than_255_ranks_commits_with_an_exact_digest() {
         "retired rank exited"
     );
     assert_eq!(all_tree_completions_ok(&hooks, &cfg), RANKS as usize - 1);
+}
+
+#[test]
+fn a_later_resize_leaves_an_aborted_migrations_record_alone() {
+    // Regression: every transfer-send completion stamped `eager_sent_at` on
+    // the coordinator's latest migration record — so an expand coordinated
+    // by a pid whose earlier migration had aborted rewrote that record.
+    let mut sim = cluster(5);
+    sim.schedule_fault(t(0.2), Fault::HostCrash { host: 4 });
+    let cfg = MalleableTreeConfig {
+        items: 960,
+        ..MalleableTreeConfig::small()
+    };
+    let (mpi, comm, hooks, pids) = launch_tree(&mut sim, &cfg, 2);
+
+    // The destination is down: the prepare deadline rolls the migration
+    // back before its checkpoint ever leaves.
+    sim.run_until(t(0.6));
+    command(&mut sim, pids[0], HostId(0), "ws4");
+    sim.run_until(t(12.0));
+    let aborted = hooks.last_migration().expect("migration recorded");
+    assert_eq!(aborted.outcome, MigrationOutcome::Aborted);
+    assert_eq!(aborted.eager_sent_at, aborted.pollpoint_at);
+
+    command(&mut sim, pids[0], HostId(0), "expand:4:ws2,ws3");
+    sim.run_until(t(30.0));
+    assert_eq!(
+        hooks.resize_count(ResizeKind::Expand, MigrationOutcome::Committed),
+        1
+    );
+    assert_eq!(mpi.comm_size(comm).unwrap(), 4);
+    assert_eq!(hooks.migration_count(), 1);
+    let after = hooks.last_migration().unwrap();
+    assert_eq!(
+        after.eager_sent_at, aborted.eager_sent_at,
+        "the expand's checkpoint sends are not this migration's"
+    );
+}
+
+#[test]
+fn shrink_rolls_back_when_a_member_never_freezes() {
+    // ws3 (rank 3, due to retire) is dead when the shrink starts: its
+    // FROZEN never comes, the prepare deadline aborts, and the three live
+    // ranks thaw into the untouched 4-rank world. (The registry does not
+    // retry around the dead host yet — ROADMAP 4(b); this pins the engine
+    // half: "aborts safely, world stays at k".)
+    let mut sim = cluster(4);
+    sim.schedule_fault(t(0.2), Fault::HostCrash { host: 3 });
+    let cfg = MalleableTreeConfig {
+        items: 960,
+        ..MalleableTreeConfig::small()
+    };
+    let hpcm = HpcmConfig {
+        obs: Obs::enabled(),
+        ..HpcmConfig::default()
+    };
+    let (mpi, comm, hooks, pids) = launch_tree_as(&mut sim, &cfg, 4, &hpcm, |tree| tree);
+
+    sim.run_until(t(0.6));
+    command(&mut sim, pids[0], HostId(0), "shrink:2");
+    sim.run_until(t(20.0));
+
+    let log = hooks.0.borrow();
+    assert_eq!(log.resizes.len(), 1);
+    let r = &log.resizes[0];
+    assert_eq!(
+        (r.kind, r.outcome),
+        (ResizeKind::Shrink, MigrationOutcome::Aborted)
+    );
+    let why = r.abort_reason.as_deref().unwrap_or_default();
+    assert!(
+        why.starts_with("world never froze (prepare timeout: 2/3 frozen"),
+        "unexpected abort reason {why:?}"
+    );
+    assert_eq!(mpi.epoch(comm).unwrap(), 0);
+    assert_eq!(mpi.comm_size(comm).unwrap(), 4);
+    assert_eq!(hpcm.obs.counter("shrinks_aborted"), 1);
+    assert_eq!(
+        traced(&sim, TraceKind::Migration, "thawed (resize aborted)"),
+        2
+    );
+    for pid in &pids[..3] {
+        assert!(sim.is_alive(*pid), "live rank survived the abort");
+    }
 }

@@ -21,9 +21,7 @@ use ars_rescheduler::{
     RegistryScheduler, ReschedHooks, SchemaBook, StateSource,
 };
 use ars_rules::{MonitoringFrequency, Policy};
-use ars_sim::{
-    run_sharded, HostId, ShardSession, ShardSpec, ShardedConfig, Sim, SimConfig, SpawnOpts,
-};
+use ars_sim::{run_sharded, HostId, ShardSpec, ShardedConfig, Sim, SimConfig, SpawnOpts};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_simnet::NodeId;
@@ -252,21 +250,17 @@ pub fn sharded_migration(
     record_trace: bool,
 ) -> ScaleRun {
     let specs: Vec<ShardSpec<(), (usize, f64)>> = (0..shards)
-        .map(|_| ShardSpec {
-            build: Box::new(move |idx| {
+        .map(|_| {
+            ShardSpec::isolated(move |idx| {
                 let (sim, hpcm) = build_scale_sim(
                     hosts_per_shard,
                     seed + idx as u64,
                     ScaleMode::Optimized,
                     record_trace,
                 );
-                ShardSession {
-                    sim,
-                    extract: Box::new(|_, _| Vec::new()),
-                    apply: Box::new(|_, _, _| {}),
-                    finish: Box::new(move |sim| (hpcm.migration_count(), registry_nic_util(&sim))),
-                }
-            }),
+                let finish = move |sim: Sim| (hpcm.migration_count(), registry_nic_util(&sim));
+                (sim, finish)
+            })
         })
         .collect();
     let run = run_sharded(

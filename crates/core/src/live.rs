@@ -46,7 +46,7 @@ use ars_xmlwire::wire::{
 };
 use ars_xmlwire::{Message, BIN_PREAMBLE};
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -118,45 +118,6 @@ impl From<std::io::Error> for LiveError {
     fn from(e: std::io::Error) -> Self {
         LiveError::Io(e)
     }
-}
-
-/// Write one message to a stream (newline-framed XML).
-pub fn write_msg(stream: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    let doc = msg.to_document();
-    debug_assert!(!doc.contains('\n'), "documents are single-line");
-    stream.write_all(doc.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Read one newline-framed XML message from a buffered stream; `None` at
-/// EOF. A line longer than [`MAX_FRAME_BYTES`] is rejected with a typed
-/// [`WireError::FrameTooLarge`] (wrapped in `InvalidData`) instead of
-/// letting a malformed peer grow the line buffer without bound.
-pub fn read_msg(reader: &mut impl BufRead) -> std::io::Result<Option<Message>> {
-    let mut line = Vec::new();
-    // Bound the read *before* the allocation happens: a frame that hits the
-    // cap without a newline is hostile or corrupt either way.
-    let n = reader
-        .take(MAX_FRAME_BYTES as u64 + 1)
-        .read_until(b'\n', &mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            WireError::FrameTooLarge {
-                limit: MAX_FRAME_BYTES,
-                got: n,
-            },
-        ));
-    }
-    let text = std::str::from_utf8(&line)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Message::decode(text.trim_end())
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Everything the reactor shares with [`LiveRegistry::inspect`]: the

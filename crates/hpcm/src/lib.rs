@@ -11,7 +11,9 @@
 //!   pre-initialization, restore rates) and the shared migration log;
 //! * [`shell`] — [`HpcmShell`], the wrapper process implementing the
 //!   reconfiguration protocol (migrate / expand / shrink) over MPI-2
-//!   dynamic process management;
+//!   dynamic process management: one transaction engine, split by the role
+//!   a shell plays (planning a request, coordinating the transaction,
+//!   frozen member, restoring child);
 //! * [`reconfig`] — the [`Reconfiguration`] request vocabulary: migration
 //!   is one variant of the same prepare → transfer → commit transaction
 //!   that grows and shrinks malleable worlds.

@@ -122,9 +122,10 @@ pub trait MigratableApp: 'static {
     }
 
     /// Checkpoint for a joiner that will become rank `rank` of a
-    /// `new_size`-rank world. Restored via [`restore`](Self::restore) on
-    /// the destination like a migration checkpoint; `None` (the default)
-    /// refuses to expand.
+    /// `new_size`-rank world, cut at the coordinator's poll-point (before
+    /// the other members freeze). Restored via [`restore`](Self::restore)
+    /// on the destination like a migration checkpoint; `None` (the
+    /// default) for any joiner rank refuses the whole expand.
     fn save_for_join(&self, _rank: u32, _new_size: u32) -> Option<SavedState> {
         None
     }

@@ -166,12 +166,6 @@ impl Mpi {
         Mpi(Rc::new(RefCell::new(w)))
     }
 
-    /// Override the dynamic-process-management initialization cost (the
-    /// pre-initialization ablation sets this to ~0).
-    pub fn set_dpm_init_cost(&self, d: SimDuration) {
-        self.0.borrow_mut().dpm_init_cost = d;
-    }
-
     /// The dynamic-process-management initialization cost.
     pub fn dpm_init_cost(&self) -> SimDuration {
         self.0.borrow().dpm_init_cost
@@ -419,11 +413,6 @@ impl Mpi {
     /// Total element count of a registered array.
     pub fn array_len(&self, comm: CommId, name: &str) -> Result<usize, MpiError> {
         self.with_array(comm, name, |a, _| a.parts.iter().map(Vec::len).sum())
-    }
-
-    /// Block size of a registered array.
-    pub fn array_block(&self, comm: CommId, name: &str) -> Result<usize, MpiError> {
-        self.with_array(comm, name, |a, _| a.block)
     }
 
     /// Reassemble a registered array in global order (verification and

@@ -62,11 +62,6 @@ impl<'a> Ctx<'a> {
         &self.kernel.hosts[self.meta.host.0 as usize]
     }
 
-    /// Read-only view of any host.
-    pub fn host_by_id(&self, id: HostId) -> &Host {
-        &self.kernel.hosts[id.0 as usize]
-    }
-
     /// Resolve a hostname.
     pub fn host_id_by_name(&self, name: &str) -> Option<HostId> {
         self.kernel.host_id(name)
@@ -117,11 +112,6 @@ impl<'a> Ctx<'a> {
     /// Block for a duration.
     pub fn sleep(&mut self, d: SimDuration) {
         let at = self.kernel.now() + d;
-        self.push_op(Op::SleepUntil { at });
-    }
-
-    /// Block until an absolute time.
-    pub fn sleep_until(&mut self, at: SimTime) {
         self.push_op(Op::SleepUntil { at });
     }
 

@@ -73,17 +73,21 @@ pub struct ShardSpec<E, Out> {
 impl<Out> ShardSpec<(), Out> {
     /// A shard with no cross-shard traffic: `extract` returns nothing and
     /// `apply` is a no-op. The common case for scale benchmarks where
-    /// domains are fully independent.
-    pub fn isolated(
-        build: impl FnOnce(usize) -> Sim + Send + 'static,
-        finish: impl FnOnce(Sim) -> Out + Send + 'static,
+    /// domains are fully independent. `build` returns the sub-simulation
+    /// together with its finisher, which may therefore own (non-`Send`)
+    /// handles created while building.
+    pub fn isolated<F: FnOnce(Sim) -> Out + 'static>(
+        build: impl FnOnce(usize) -> (Sim, F) + Send + 'static,
     ) -> Self {
         ShardSpec {
-            build: Box::new(move |idx| ShardSession {
-                sim: build(idx),
-                extract: Box::new(|_, _| Vec::new()),
-                apply: Box::new(|_, _, _| {}),
-                finish: Box::new(finish),
+            build: Box::new(move |idx| {
+                let (sim, finish) = build(idx);
+                ShardSession {
+                    sim,
+                    extract: Box::new(|_, _| Vec::new()),
+                    apply: Box::new(|_, _, _| {}),
+                    finish: Box::new(finish),
+                }
             }),
         }
     }

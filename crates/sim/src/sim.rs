@@ -420,23 +420,6 @@ impl Sim {
         self.kernel.faults.as_ref().map(|e| &e.stats)
     }
 
-    /// True while `host` is crashed by the fault layer.
-    pub fn host_is_down(&self, host: HostId) -> bool {
-        self.kernel
-            .faults
-            .as_ref()
-            .is_some_and(|e| e.host_down[host.0 as usize])
-    }
-
-    /// True while `pid` is crashed by a [`Fault::RegistryCrash`] (deaf and
-    /// mute, awaiting its paired recover).
-    pub fn registry_is_down(&self, pid: Pid) -> bool {
-        self.kernel
-            .faults
-            .as_ref()
-            .is_some_and(|e| e.pid_down.contains(&pid.0))
-    }
-
     /// Enable the periodic metric recorder (the paper samples every 10 s).
     pub fn enable_recorder(&mut self, interval: SimDuration) {
         let names: Vec<String> = self
@@ -505,11 +488,6 @@ impl Sim {
             .and_then(|s| s.meta.exited_at)
     }
 
-    /// Host a process runs (or ran) on.
-    pub fn host_of(&self, pid: Pid) -> Option<HostId> {
-        self.procs.get(pid.0 as usize).map(|s| s.meta.host)
-    }
-
     /// Borrow a program for inspection (tests and result extraction).
     pub fn program(&self, pid: Pid) -> Option<&dyn Program> {
         self.procs
@@ -543,12 +521,6 @@ impl Sim {
             self.kernel.now = t_end;
         }
         self.settle();
-    }
-
-    /// Run until no events remain (all processes finished or blocked);
-    /// time stops at the last event handled.
-    pub fn run_to_completion(&mut self) {
-        self.run_until(SimTime::MAX);
     }
 
     fn settle(&mut self) {
@@ -669,7 +641,7 @@ impl Sim {
                 for flow in self.kernel.net.flows_touching(NodeId(host)) {
                     self.abort_flow(flow, &format!("h{host} down"));
                 }
-                self.kernel.hosts[h].set_down(true);
+                self.kernel.hosts[h].crash();
             }
             Fault::HostRecover { host } => {
                 let h = host as usize;
@@ -679,7 +651,6 @@ impl Sim {
                 }
                 engine.host_down[h] = false;
                 engine.stats.recoveries += 1;
-                self.kernel.hosts[h].set_down(false);
                 self.kernel.trace.record(
                     now,
                     TraceKind::Fault,

@@ -81,7 +81,6 @@ pub struct Host {
     disks: DiskSet,
     procs: ProcTable,
     files: HashMap<String, String>,
-    down: bool,
 }
 
 impl Host {
@@ -95,7 +94,6 @@ impl Host {
             disks: DiskSet::new(config.mounts.clone()),
             procs: ProcTable::new(),
             files: HashMap::new(),
-            down: false,
             config,
         }
     }
@@ -112,19 +110,11 @@ impl Host {
 
     // --- Power state (fault injection) -------------------------------------
 
-    /// Mark the host crashed or recovered. The kernel kills resident
-    /// processes and refuses spawns while down; crashing also wipes the
-    /// local scratch files (a reboot loses `/tmp`).
-    pub fn set_down(&mut self, down: bool) {
-        if down {
-            self.files.clear();
-        }
-        self.down = down;
-    }
-
-    /// True while the host is crashed.
-    pub fn is_down(&self) -> bool {
-        self.down
+    /// The host crashed: wipe the local scratch files (a reboot loses
+    /// `/tmp`). Which hosts are down is the kernel's fault engine's to
+    /// know — it kills resident processes and refuses spawns meanwhile.
+    pub fn crash(&mut self) {
+        self.files.clear();
     }
 
     // --- CPU ---------------------------------------------------------------
@@ -157,11 +147,6 @@ impl Host {
     /// CPU membership version (for lazy event invalidation).
     pub fn cpu_version(&self) -> u64 {
         self.cpu.version()
-    }
-
-    /// Jobs that have completed as of the last `advance`.
-    pub fn finished_cpu_jobs(&self) -> Vec<JobId> {
-        self.cpu.finished_jobs()
     }
 
     /// Lowest-id completed CPU job (allocation-free reaping).
@@ -203,11 +188,6 @@ impl Host {
         self.mem.reserve(pid, use_)
     }
 
-    /// Release a pid's memory.
-    pub fn mem_release(&mut self, pid: u64) {
-        self.mem.release(pid);
-    }
-
     /// Memory state.
     pub fn mem(&self) -> &Memory {
         &self.mem
@@ -216,11 +196,6 @@ impl Host {
     /// Disk state.
     pub fn disks(&self) -> &DiskSet {
         &self.disks
-    }
-
-    /// Mutable disk state.
-    pub fn disks_mut(&mut self) -> &mut DiskSet {
-        &mut self.disks
     }
 
     // --- Process table -----------------------------------------------------

@@ -14,21 +14,28 @@ echo "== examples build =="
 cargo build --release --examples
 
 echo "== tests =="
+# Every suite runs once, here. Among them, the gates the later steps build on:
+#   - driver differential (ars-rescheduler `differential`): the DES adapter
+#     and the live TCP driver replay one scripted command sequence into the
+#     shared RegistryCore and must land in identical state — the live leg
+#     runs once per wire codec (XML and binary).
+#   - wire codecs (ars-xmlwire `codec_fidelity`, ars-rescheduler `live_tcp`):
+#     the golden corpus must be byte-identical in XML to the legacy framing
+#     and round-trip through both codecs (plus the proptest differential);
+#     the live reactor must serve mixed codecs, survive hostile peers, and
+#     enforce frame caps.
+#   - malleability (ars-apps `malleable_e2e`, ars-mpisim `redist_props`):
+#     expand/shrink/back-to-back e2e commits, refusal and rollback paths,
+#     block-cyclic redistribution proptests (bit-for-bit k→k'→k round-trips).
+#   - registry fault zero-cost gate (`chaos`): an armed-but-idle registry
+#     fault engine (plan present, nothing fires) must leave tree traces
+#     byte-identical.
+#   - observability equivalence (`chaos`): a chaos run with an enabled
+#     observability session must produce a byte-identical kernel trace to
+#     the same run without one (same discipline as the fault-layer
+#     equivalence test).
+#   - the chaos suite at its default seeds; the steps below widen the matrix.
 cargo test --release --workspace -q
-
-echo "== driver differential =="
-# The DES adapter and the live TCP driver replay one scripted command
-# sequence into the shared RegistryCore and must land in identical state —
-# the live leg runs once per wire codec (XML and binary).
-cargo test --release -q -p ars-rescheduler --test differential
-
-echo "== wire codecs =="
-# Cross-codec fidelity: the golden corpus must be byte-identical in XML to
-# the legacy framing and round-trip through both codecs (plus the proptest
-# differential); the live reactor must serve mixed codecs, survive hostile
-# peers, and enforce frame caps.
-cargo test --release -q -p ars-xmlwire --test codec_fidelity
-cargo test --release -q -p ars-rescheduler --test live_tcp
 
 echo "== wire smoke (256 conns per codec) =="
 # One small live-registry load cell per codec: asserts liveness and sane
@@ -37,8 +44,7 @@ echo "== wire smoke (256 conns per codec) =="
 timeout 120 ./target/release/bench_wire --smoke
 
 echo "== chaos matrix =="
-# The chaos suite already runs once (default seeds) as part of the
-# workspace tests above; this pass widens the seeded fault-schedule matrix.
+# Widens the seeded fault-schedule matrix past the default-seed pass above.
 # Every schedule must terminate with each app completed or lost-with-cause,
 # and must replay bit-identically.
 ARS_CHAOS_SEEDS="3,5,11,12,13,17,23,42" \
@@ -53,14 +59,10 @@ ARS_CHAOS_SEEDS="5,11,42" timeout 300 \
     cargo test --release -q --test chaos -- \
     tree_chaos_mid_registry_crash_keeps_all_apps_completing
 
-echo "== malleability =="
-# The reconfiguration engine: expand/shrink/back-to-back e2e commits and
-# refusal paths, block-cyclic redistribution proptests (bit-for-bit
-# k→k'→k round-trips), and the full overload scenario with its three
-# gates (replay determinism, inert-config byte-identity, malleable arm
-# strictly better on throughput AND turnaround).
-cargo test --release -q -p ars-apps --test malleable_e2e
-cargo test --release -q -p ars-mpisim --test redist_props
+echo "== malleability smoke =="
+# The full overload scenario with its three gates (replay determinism,
+# inert-config byte-identity, malleable arm strictly better on throughput
+# AND turnaround).
 timeout 180 ./target/release/bench_malleable --smoke
 
 echo "== reconfiguration chaos (mid-expand crashes) =="
@@ -70,20 +72,6 @@ echo "== reconfiguration chaos (mid-expand crashes) =="
 ARS_CHAOS_SEEDS="3,5,11,12,13,17,23,42" timeout 300 \
     cargo test --release -q --test chaos -- \
     expand_crash_rolls_back_to_the_old_world_over_the_seed_matrix
-
-echo "== registry fault zero-cost gate =="
-# An armed-but-idle registry fault engine (plan present, nothing fires)
-# must leave tree traces byte-identical.
-cargo test --release -q --test chaos -- \
-    an_armed_but_idle_registry_fault_engine_is_byte_identical
-
-echo "== observability equivalence =="
-# Zero-cost guarantee: a chaos run with an enabled observability session
-# must produce a byte-identical kernel trace to the same run without one
-# (same discipline as the fault-layer equivalence test).
-cargo test --release -q --test chaos -- \
-    enabling_observability_does_not_perturb_the_trace \
-    disabled_fault_plan_is_byte_identical_to_no_fault_layer
 
 echo "== scale smoke (N = 4096, hierarchical + sharded) =="
 # The two scaling paths at 4096 simulated hosts must finish inside the
