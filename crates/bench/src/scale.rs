@@ -4,12 +4,14 @@
 //! The same scenario runs in two kernel modes so the wall-clock difference
 //! isolates the O(touched)-work settlement path:
 //!
-//! * **baseline** — `SimConfig::baseline_full_resync`,
-//!   `NetworkConfig::baseline_full_scan` and
-//!   `RegistryConfig::linear_first_fit` all set: every event settles every
-//!   host, every flow change re-rates every flow, and destination selection
-//!   scans the whole host table.
-//! * **optimized** — the default dirty-set / incremental / indexed path.
+//! * **baseline** — `SimConfig::baseline_full_resync` and
+//!   `RegistryConfig::linear_first_fit` both set: every event settles every
+//!   host and destination selection scans the whole host table.
+//! * **optimized** — the default dirty-set / indexed path.
+//!
+//! The network has one implementation in both modes (`ars-simnet`'s dense
+//! flow table; its settle-everything twin lives on only as that crate's
+//! test-side reference model).
 //!
 //! Both modes must produce the identical event trace; `bench_scale` asserts
 //! that at the smallest N before timing anything.
@@ -119,10 +121,6 @@ fn build_scale_sim(
             seed,
             trace: record_trace,
             baseline_full_resync: baseline,
-            net: ars_simnet::NetworkConfig {
-                baseline_full_scan: baseline,
-                ..ars_simnet::NetworkConfig::default()
-            },
             ..SimConfig::default()
         },
     );

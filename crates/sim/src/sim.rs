@@ -312,6 +312,18 @@ impl Kernel {
         self.net.end_flow(self.now, id)
     }
 
+    /// The fault engine, for the arms of `apply_fault` (its only caller),
+    /// which cannot hold one borrow across their trace / net / process work.
+    /// `apply_fault` returns at its top when no engine is installed and
+    /// nothing ever removes one, so inside an arm the engine is present.
+    /// (`Event::Fault` is queued only next to installing it, in `Sim::new`
+    /// and `Sim::schedule_fault`.)
+    fn engine(&mut self) -> &mut FaultEngine {
+        self.faults
+            .as_mut()
+            .expect("a fault event fired without a fault engine")
+    }
+
     fn cpu_job_insert(&mut self, host: u32, job: JobId, pid: Pid) {
         self.cpu_jobs[host as usize].push((job, pid));
     }
@@ -601,7 +613,7 @@ impl Sim {
         match fault {
             Fault::HostCrash { host } => {
                 let h = host as usize;
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if engine.host_down[h] {
                     return;
                 }
@@ -645,7 +657,7 @@ impl Sim {
             }
             Fault::HostRecover { host } => {
                 let h = host as usize;
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if !engine.host_down[h] {
                     return;
                 }
@@ -665,7 +677,7 @@ impl Sim {
                     });
             }
             Fault::PartitionStart { a, b } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 for &x in &a {
                     for &y in &b {
                         if x != y {
@@ -687,7 +699,10 @@ impl Sim {
                     });
                 // Transfers crossing the cut are torn down.
                 let crossing: Vec<FlowId> = {
-                    let engine = self.kernel.faults.as_ref().expect("engine present");
+                    // Borrowed next to `net`, hence not through `engine()`.
+                    let Some(engine) = &self.kernel.faults else {
+                        return;
+                    };
                     self.kernel
                         .net
                         .active_flow_endpoints()
@@ -702,7 +717,7 @@ impl Sim {
                 }
             }
             Fault::PartitionEnd => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 engine.severed.clear();
                 self.kernel
                     .trace
@@ -716,7 +731,7 @@ impl Sim {
                     });
             }
             Fault::MonitorStall { host, duration } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 let until = now + duration;
                 let h = host as usize;
                 if engine.stall_until[h] < until {
@@ -756,7 +771,7 @@ impl Sim {
                 self.apply_pending();
             }
             Fault::RegistryCrash { pid } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if !engine.pid_down.insert(pid) {
                     return;
                 }
@@ -776,7 +791,7 @@ impl Sim {
                     });
             }
             Fault::RegistryRecover { pid } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if !engine.pid_down.remove(&pid) {
                     return;
                 }
@@ -803,7 +818,7 @@ impl Sim {
                 self.apply_pending();
             }
             Fault::EdgePartition { a, b } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if !engine.pid_severed.insert(FaultEngine::pid_sever_key(a, b)) {
                     return;
                 }
@@ -822,7 +837,7 @@ impl Sim {
                     });
             }
             Fault::EdgeHeal { a, b } => {
-                let engine = self.kernel.faults.as_mut().expect("engine present");
+                let engine = self.kernel.engine();
                 if !engine.pid_severed.remove(&FaultEngine::pid_sever_key(a, b)) {
                     return;
                 }

@@ -23,4 +23,4 @@
 
 pub mod net;
 
-pub use net::{Flow, FlowId, Network, NetworkConfig, NodeId};
+pub use net::{FlowId, Network, NetworkConfig, NodeId};

@@ -1,32 +1,42 @@
 //! Flow-level network simulation (see crate docs for the sharing model).
 //!
-//! # Incremental bookkeeping
+//! # The flow table
 //!
-//! The settlement and rate machinery is O(touched), not O(all flows):
+//! Active flows live in one `Vec`, ascending by [`FlowId`]. Ids are handed
+//! out monotonically, so a start is a `push`, id → slot is a binary search,
+//! and ending a still-active flow is a `Vec::remove`. A flow that completes
+//! leaves the table at once: its NIC counts are released and its byte count
+//! moves to a small ordered side table that [`Network::first_finished_flow`]
+//! and [`Network::end_flow`] drain.
 //!
-//! * Each NIC keeps lists of the active flows that transmit from / receive at
-//!   it. A membership change (flow start, end, or in-interval completion)
-//!   only re-rates the flows sharing a NIC whose count changed. Because a
-//!   flow's fair-share rate is a pure function of its two NICs' counts —
-//!   `(cap/n_tx).min(cap/n_rx)` — the incremental update is bit-identical to
-//!   a from-scratch [`recompute`](Network::start_flow).
-//! * A min-heap of projected completions (keyed by `remaining/rate` at the
-//!   settlement point) lets [`Network::advance`] find the next in-interval
-//!   completion with an O(1) peek instead of scanning every flow, and lets
-//!   [`Network::next_completion`] consider only bounded flows. Entries are
-//!   rebuilt whenever any bounded flow's `(remaining, rate)` changes, so the
-//!   heap is always exact at the current settlement point.
-//! * The `active` flow list is kept in ascending [`FlowId`] order, matching
-//!   the old full-map iteration, so per-NIC byte counters accumulate in the
-//!   same float order and settlements stay bit-identical.
+//! Two passes over the table do all the work:
 //!
-//! [`NetworkConfig::baseline_full_scan`] preserves the original
-//! settle-everything algorithm for A/B benchmarking (`bench_scale`); both
-//! paths produce identical results.
+//! * the **settle pass** ([`Network::advance`], once per settlement step)
+//!   moves each flow's bytes, adds them to both NIC counters in ascending-id
+//!   order (the float summation order every trace depends on), retires the
+//!   flows that completed, and tracks the earliest projected completion of
+//!   the survivors;
+//! * the **re-rate pass** (after a start, an end, or a settle step in which
+//!   something completed) recomputes every active flow's fair share
+//!   `(cap/n_tx).min(cap/n_rx)` from its two NICs' flow counts and tracks the
+//!   earliest projected completion under the new rates.
+//!
+//! Re-rating every flow is bit-identical to re-rating only the flows whose
+//! NICs changed membership: a rate is a pure function of two counts, so a
+//! flow on untouched NICs is recomputed to the bits it already holds.
+//!
+//! The earliest projected completion — the lexicographic minimum of
+//! `(bits(remaining/rate), id)` over bounded flows, exact at the last
+//! settlement point — is cached by whichever pass ran last, so
+//! [`Network::next_completion`] at the settlement point is O(1).
+//!
+//! The cost that remains: every start, end and settlement step is one or two
+//! contiguous passes, O(active flows). A per-NIC virtual clock would make a
+//! change O(flows on the touched NICs), but it changes float summation order
+//! and therefore every trace (ROADMAP item 3(b)).
 
 use ars_simcore::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Index of a node (host NIC) in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,10 +57,6 @@ pub struct NetworkConfig {
     pub nic_bytes_per_sec: f64,
     /// One-way propagation + protocol latency per message.
     pub latency: SimDuration,
-    /// Use the original O(all flows) settlement/rate loops instead of the
-    /// incremental bookkeeping. Results are identical; this exists so
-    /// `bench_scale` can measure the speedup against a live baseline.
-    pub baseline_full_scan: bool,
 }
 
 impl Default for NetworkConfig {
@@ -58,30 +64,46 @@ impl Default for NetworkConfig {
         NetworkConfig {
             nic_bytes_per_sec: 12_500_000.0,
             latency: SimDuration::from_micros(300),
-            baseline_full_scan: false,
         }
     }
 }
 
-/// One unidirectional data transfer.
+/// One active unidirectional data transfer (a row of the flow table).
 #[derive(Debug, Clone)]
-pub struct Flow {
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
+struct Flow {
+    id: FlowId,
+    src: NodeId,
+    dst: NodeId,
     /// Bytes still to transfer; `None` for persistent background streams.
     remaining: Option<f64>,
-    /// Current fair-share rate (bytes/s), updated on membership changes.
+    /// Current fair-share rate (bytes/s), set by the re-rate pass.
     rate: f64,
     /// Bytes moved so far.
     transferred: f64,
-    finished: bool,
 }
 
+/// Projected completion of one flow: `(bits(remaining/rate), id)`. Positive
+/// finite floats order identically to their IEEE-754 bit patterns, so the
+/// tuple order is "earliest first, lowest id on a tie".
+type Due = (u64, u64);
+
 impl Flow {
-    fn active(&self) -> bool {
-        !self.finished
+    /// Projected completion at the current rate; `None` for persistent
+    /// streams (and stalled flows), which never complete.
+    fn due(&self) -> Option<Due> {
+        match self.remaining {
+            Some(rem) if self.rate > 0.0 => Some(((rem / self.rate).to_bits(), self.id.0)),
+            _ => None,
+        }
+    }
+}
+
+/// Fold one flow's projected completion into a running minimum.
+fn note_due(min: &mut Option<Due>, due: Option<Due>) {
+    if let Some(d) = due {
+        if min.is_none_or(|m| d < m) {
+            *min = Some(d);
+        }
     }
 }
 
@@ -91,10 +113,6 @@ struct Nic {
     rx_bytes: f64,
     tx_flows: u32,
     rx_flows: u32,
-    /// Active flows transmitting from this NIC, ascending by id.
-    tx_active: Vec<FlowId>,
-    /// Active flows received at this NIC, ascending by id.
-    rx_active: Vec<FlowId>,
 }
 
 /// The cluster network: a set of NICs plus the in-flight flow set.
@@ -102,23 +120,16 @@ struct Nic {
 pub struct Network {
     config: NetworkConfig,
     nics: Vec<Nic>,
-    flows: BTreeMap<FlowId, Flow>,
-    /// Active flows in ascending id order (the non-finished subset of
-    /// `flows`, in the same order the map iterates them).
-    active: Vec<FlowId>,
-    /// Min-heap over bounded active flows keyed by `(bits(remaining/rate),
-    /// id)`; exact at `last_advance` (see module docs). Positive finite
-    /// floats order identically to their IEEE-754 bit patterns.
-    completions: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The flow table: active flows, strictly ascending by id.
+    active: Vec<Flow>,
+    /// Completed flows awaiting [`end_flow`](Self::end_flow): id → bytes
+    /// transferred. They hold no NIC share.
+    finished: BTreeMap<FlowId, f64>,
+    /// Minimum [`Flow::due`] over `active`, exact at `last_advance`.
+    next_due: Option<Due>,
     next_id: u64,
     last_advance: SimTime,
     version: u64,
-    /// Scratch buffers reused across settle steps and re-rates (the hot
-    /// path runs one re-rate per message start/end): cleared each use,
-    /// never shrunk, so steady state allocates nothing.
-    scratch_todo: Vec<FlowId>,
-    scratch_finished: Vec<FlowId>,
-    scratch_touched: Vec<u32>,
 }
 
 impl Network {
@@ -127,15 +138,12 @@ impl Network {
         Network {
             config,
             nics: vec![Nic::default(); n_nodes],
-            flows: BTreeMap::new(),
             active: Vec::new(),
-            completions: BinaryHeap::new(),
+            finished: BTreeMap::new(),
+            next_due: None,
             next_id: 0,
             last_advance: SimTime::ZERO,
             version: 0,
-            scratch_todo: Vec::new(),
-            scratch_finished: Vec::new(),
-            scratch_touched: Vec::new(),
         }
     }
 
@@ -179,130 +187,59 @@ impl Network {
         self.nics[node.0 as usize].rx_flows
     }
 
-    /// Look up a flow.
-    pub fn flow(&self, id: FlowId) -> Option<&Flow> {
-        self.flows.get(&id)
+    /// Slot of an active flow in the table.
+    fn slot(&self, id: FlowId) -> Option<usize> {
+        self.active.binary_search_by_key(&id, |f| f.id).ok()
     }
 
     /// Ids of active flows with `node` as either endpoint, ascending by id
     /// (deterministic). The fault layer uses this to tear down transfers
     /// when a host crashes.
     pub fn flows_touching(&self, node: NodeId) -> Vec<FlowId> {
-        self.flows
+        self.active
             .iter()
-            .filter(|(_, f)| f.active() && (f.src == node || f.dst == node))
-            .map(|(&id, _)| id)
+            .filter(|f| f.src == node || f.dst == node)
+            .map(|f| f.id)
             .collect()
     }
 
     /// Endpoints of every active flow, ascending by id (deterministic).
     /// The fault layer uses this to find transfers crossing a partition.
     pub fn active_flow_endpoints(&self) -> impl Iterator<Item = (FlowId, NodeId, NodeId)> + '_ {
-        self.flows
-            .iter()
-            .filter(|(_, f)| f.active())
-            .map(|(&id, f)| (id, f.src, f.dst))
+        self.active.iter().map(|f| (f.id, f.src, f.dst))
     }
 
     /// Current rate of a flow in bytes/second (0 for finished/unknown).
     pub fn rate_of(&self, id: FlowId) -> f64 {
-        self.flows
-            .get(&id)
-            .map_or(0.0, |f| if f.active() { f.rate } else { 0.0 })
+        self.slot(id).map_or(0.0, |i| self.active[i].rate)
     }
 
-    /// Bytes transferred by a flow so far.
+    /// Bytes transferred by a flow so far (0 for reaped/unknown).
     pub fn transferred_of(&self, id: FlowId) -> f64 {
-        self.flows.get(&id).map_or(0.0, |f| f.transferred)
+        match (self.slot(id), self.finished.get(&id)) {
+            (Some(i), _) => self.active[i].transferred,
+            (None, Some(&bytes)) => bytes,
+            (None, None) => 0.0,
+        }
     }
 
     /// Fair-share rate from the NIC flow counts (the only inputs).
-    fn fair_rate(&self, src: NodeId, dst: NodeId) -> f64 {
-        let cap = self.config.nic_bytes_per_sec;
-        let n_tx = self.nics[src.0 as usize].tx_flows.max(1) as f64;
-        let n_rx = self.nics[dst.0 as usize].rx_flows.max(1) as f64;
+    fn fair_rate(cap: f64, nics: &[Nic], src: NodeId, dst: NodeId) -> f64 {
+        let n_tx = nics[src.0 as usize].tx_flows.max(1) as f64;
+        let n_rx = nics[dst.0 as usize].rx_flows.max(1) as f64;
         (cap / n_tx).min(cap / n_rx)
     }
 
-    /// From-scratch re-rate of every active flow (baseline path; also the
-    /// reference the incremental path is checked against).
-    fn recompute_rates_full(&mut self) {
+    /// The re-rate pass: every active flow's rate from its two NIC counts,
+    /// and the earliest projected completion under the new rates.
+    fn rerate(&mut self) {
         let cap = self.config.nic_bytes_per_sec;
-        for flow in self.flows.values_mut() {
-            if !flow.active() {
-                continue;
-            }
-            let n_tx = self.nics[flow.src.0 as usize].tx_flows.max(1) as f64;
-            let n_rx = self.nics[flow.dst.0 as usize].rx_flows.max(1) as f64;
-            flow.rate = (cap / n_tx).min(cap / n_rx);
+        let mut next = None;
+        for f in &mut self.active {
+            f.rate = Self::fair_rate(cap, &self.nics, f.src, f.dst);
+            note_due(&mut next, f.due());
         }
-    }
-
-    /// Re-rate only the flows sharing one of `touched` NICs. Rates of flows
-    /// on untouched NICs cannot have changed (their NIC counts did not), so
-    /// this matches [`recompute_rates_full`](Self::recompute_rates_full)
-    /// bit for bit.
-    fn recompute_rates_touched(&mut self, touched: &[u32]) {
-        let mut todo = std::mem::take(&mut self.scratch_todo);
-        todo.clear();
-        for &n in touched {
-            let nic = &self.nics[n as usize];
-            todo.extend_from_slice(&nic.tx_active);
-            todo.extend_from_slice(&nic.rx_active);
-        }
-        todo.sort_unstable();
-        todo.dedup();
-        for &id in &todo {
-            let flow = &self.flows[&id];
-            let rate = self.fair_rate(flow.src, flow.dst);
-            self.flows.get_mut(&id).expect("listed flow exists").rate = rate;
-        }
-        self.scratch_todo = todo;
-    }
-
-    fn recompute_after(&mut self, touched: &[u32]) {
-        if self.config.baseline_full_scan {
-            self.recompute_rates_full();
-        } else {
-            self.recompute_rates_touched(touched);
-        }
-    }
-
-    /// Rebuild the projected-completion heap from the current `(remaining,
-    /// rate)` of every bounded active flow. Called whenever those change.
-    fn rebuild_completions(&mut self) {
-        self.completions.clear();
-        for &id in &self.active {
-            let f = &self.flows[&id];
-            if let Some(rem) = f.remaining {
-                if f.rate > 0.0 {
-                    self.completions
-                        .push(Reverse(((rem / f.rate).to_bits(), id.0)));
-                }
-            }
-        }
-    }
-
-    /// Register a newly started active flow in the NIC / active lists.
-    /// Ids are handed out in increasing order, so appending keeps the lists
-    /// ascending.
-    fn link_flow(&mut self, id: FlowId, src: NodeId, dst: NodeId) {
-        self.nics[src.0 as usize].tx_flows += 1;
-        self.nics[dst.0 as usize].rx_flows += 1;
-        self.nics[src.0 as usize].tx_active.push(id);
-        self.nics[dst.0 as usize].rx_active.push(id);
-        self.active.push(id);
-    }
-
-    /// Drop an active flow from the NIC lists and counts (not from `active`;
-    /// callers handle that, as completions batch the removal).
-    fn unlink_flow(&mut self, id: FlowId, src: NodeId, dst: NodeId) {
-        let tx = &mut self.nics[src.0 as usize];
-        tx.tx_flows -= 1;
-        tx.tx_active.retain(|&f| f != id);
-        let rx = &mut self.nics[dst.0 as usize];
-        rx.rx_flows -= 1;
-        rx.rx_active.retain(|&f| f != id);
+        self.next_due = next;
     }
 
     /// Settle transfers in `[last_advance, now]`, handling completions that
@@ -316,111 +253,38 @@ impl Network {
         }
         let mut remaining_dt = now.since(self.last_advance).as_secs_f64();
         self.last_advance = now;
-        if self.config.baseline_full_scan {
-            self.advance_full_scan(remaining_dt);
-            return;
-        }
         while remaining_dt > 0.0 && !self.active.is_empty() {
-            // Earliest in-interval completion at current rates: the heap is
-            // exact here (rebuilt whenever remaining/rate changed), so the
-            // peek equals the old min-over-all-flows scan.
-            let dt_next = match self.completions.peek() {
-                Some(&Reverse((bits, _))) => f64::from_bits(bits),
-                None => f64::INFINITY,
-            };
+            // Settle up to the earliest in-interval completion at current
+            // rates; `next_due` is exact here.
+            let dt_next = self
+                .next_due
+                .map_or(f64::INFINITY, |(bits, _)| f64::from_bits(bits));
             let step = remaining_dt.min(dt_next);
-            let mut finished = std::mem::take(&mut self.scratch_finished);
-            let mut touched = std::mem::take(&mut self.scratch_touched);
-            finished.clear();
-            touched.clear();
-            for &id in &self.active {
-                let f = self.flows.get_mut(&id).expect("active flow exists");
+            let before = self.active.len();
+            let (nics, finished) = (&mut self.nics, &mut self.finished);
+            let mut next = None;
+            self.active.retain_mut(|f| {
                 let moved = f.rate * step;
                 f.transferred += moved;
-                self.nics[f.src.0 as usize].tx_bytes += moved;
-                self.nics[f.dst.0 as usize].rx_bytes += moved;
+                let (src, dst) = (f.src.0 as usize, f.dst.0 as usize);
+                nics[src].tx_bytes += moved;
+                nics[dst].rx_bytes += moved;
                 if let Some(rem) = &mut f.remaining {
                     *rem -= moved;
                     if *rem <= COMPLETION_EPS {
-                        *rem = 0.0;
-                        f.finished = true;
-                        finished.push(id);
-                        touched.push(f.src.0);
-                        touched.push(f.dst.0);
+                        nics[src].tx_flows -= 1;
+                        nics[dst].rx_flows -= 1;
+                        finished.insert(f.id, f.transferred);
+                        return false;
                     }
                 }
-            }
-            if !finished.is_empty() {
-                for &id in &finished {
-                    let (src, dst) = {
-                        let f = &self.flows[&id];
-                        (f.src, f.dst)
-                    };
-                    self.unlink_flow(id, src, dst);
-                }
-                self.active.retain(|id| !finished.contains(id));
-                touched.sort_unstable();
-                touched.dedup();
-                self.recompute_rates_touched(&touched);
-            }
-            self.scratch_finished = finished;
-            self.scratch_touched = touched;
-            remaining_dt -= step;
-            // Every surviving bounded flow's remaining just shrank (and
-            // completions may have re-rated others): refresh the heap so it
-            // is exact at the new settlement point.
-            self.rebuild_completions();
-        }
-    }
-
-    /// The original settle-everything loop, kept for A/B benchmarking.
-    fn advance_full_scan(&mut self, mut remaining_dt: f64) {
-        while remaining_dt > 0.0 {
-            let mut dt_next = f64::INFINITY;
-            let mut any_active = false;
-            for f in self.flows.values() {
-                if !f.active() {
-                    continue;
-                }
-                any_active = true;
-                if let Some(rem) = f.remaining {
-                    if f.rate > 0.0 {
-                        dt_next = dt_next.min(rem / f.rate);
-                    }
-                }
-            }
-            if !any_active {
-                break;
-            }
-            let step = remaining_dt.min(dt_next);
-            let mut finished: Vec<FlowId> = Vec::new();
-            for (&id, f) in self.flows.iter_mut() {
-                if !f.active() {
-                    continue;
-                }
-                let moved = f.rate * step;
-                f.transferred += moved;
-                self.nics[f.src.0 as usize].tx_bytes += moved;
-                self.nics[f.dst.0 as usize].rx_bytes += moved;
-                if let Some(rem) = &mut f.remaining {
-                    *rem -= moved;
-                    if *rem <= COMPLETION_EPS {
-                        *rem = 0.0;
-                        f.finished = true;
-                        finished.push(id);
-                    }
-                }
-            }
-            if !finished.is_empty() {
-                for &id in &finished {
-                    let (src, dst) = {
-                        let f = &self.flows[&id];
-                        (f.src, f.dst)
-                    };
-                    self.unlink_flow(id, src, dst);
-                }
-                self.active.retain(|id| !finished.contains(id));
-                self.recompute_rates_full();
+                note_due(&mut next, f.due());
+                true
+            });
+            if self.active.len() < before {
+                self.rerate();
+            } else {
+                self.next_due = next;
             }
             remaining_dt -= step;
         }
@@ -442,145 +306,102 @@ impl Network {
         self.advance(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.link_flow(id, src, dst);
-        self.flows.insert(
+        self.nics[src.0 as usize].tx_flows += 1;
+        self.nics[dst.0 as usize].rx_flows += 1;
+        // Ids only grow, so appending keeps the table ascending.
+        self.active.push(Flow {
             id,
-            Flow {
-                src,
-                dst,
-                remaining: bytes,
-                rate: 0.0,
-                transferred: 0.0,
-                finished: false,
-            },
-        );
-        self.recompute_after(&[src.0, dst.0]);
-        self.rebuild_completions();
+            src,
+            dst,
+            remaining: bytes,
+            rate: 0.0,
+            transferred: 0.0,
+        });
+        self.rerate();
         self.version += 1;
         id
     }
 
-    /// Remove a flow (finished or aborted), returning bytes it transferred.
+    /// Remove a flow (finished or aborted), returning bytes it transferred;
+    /// `None` for an id that is unknown or already removed.
     ///
     /// Reaping an already-finished flow changes no rates and bumps no
     /// version: its NIC counts were released when it completed, so pending
     /// completion events stay valid and need no resync churn.
     pub fn end_flow(&mut self, now: SimTime, id: FlowId) -> Option<f64> {
         self.advance(now);
-        let flow = self.flows.remove(&id)?;
-        if flow.active() {
-            self.unlink_flow(id, flow.src, flow.dst);
-            self.active.retain(|&f| f != id);
-            self.recompute_after(&[flow.src.0, flow.dst.0]);
-            self.rebuild_completions();
-            self.version += 1;
+        if let Some(transferred) = self.finished.remove(&id) {
+            return Some(transferred);
         }
+        let flow = self.active.remove(self.slot(id)?);
+        self.nics[flow.src.0 as usize].tx_flows -= 1;
+        self.nics[flow.dst.0 as usize].rx_flows -= 1;
+        self.rerate();
+        self.version += 1;
         Some(flow.transferred)
     }
 
     /// The earliest upcoming flow completion assuming the flow set does not
-    /// change; check [`version`](Self::version) when the event fires.
+    /// change; check [`version`](Self::version) when the event fires. On a
+    /// tie the lowest id wins.
     pub fn next_completion(&self, now: SimTime) -> Option<(SimTime, FlowId)> {
         debug_assert!(now >= self.last_advance);
-        let already = now.since(self.last_advance).as_secs_f64();
-        let mut best: Option<(f64, FlowId)> = None;
-        if self.config.baseline_full_scan {
-            for (&id, f) in &self.flows {
-                if !f.active() {
-                    continue;
-                }
-                let Some(rem) = f.remaining else { continue };
-                if f.rate <= 0.0 {
-                    continue;
-                }
-                let dt = (rem / f.rate - already).max(0.0);
-                if best.is_none_or(|(b, _)| dt < b) {
-                    best = Some((dt, id));
-                }
-            }
+        let best = if now == self.last_advance {
+            self.next_due
+                .map(|(bits, id)| (f64::from_bits(bits), FlowId(id)))
         } else {
-            // The winner under the old ascending-id strict-< scan is the
-            // lexicographic minimum of (dt, id), which is order-independent:
-            // fold it over the heap's (unordered) entries. Only bounded
-            // active flows have entries, so this skips persistent streams.
-            for &Reverse((bits, raw)) in self.completions.iter() {
+            // Between settlements the cached minimum is no longer the answer
+            // to the bit: flows already due all clamp to 0 and the lowest id
+            // among them wins. One ascending-id scan, strict `<`.
+            let already = now.since(self.last_advance).as_secs_f64();
+            let mut best: Option<(f64, FlowId)> = None;
+            for f in &self.active {
+                let Some((bits, _)) = f.due() else { continue };
                 let dt = (f64::from_bits(bits) - already).max(0.0);
-                let id = FlowId(raw);
-                match best {
-                    Some((b, bid)) if (b, bid) <= (dt, id) => {}
-                    _ => best = Some((dt, id)),
+                if best.is_none_or(|(b, _)| dt < b) {
+                    best = Some((dt, f.id));
                 }
             }
-        }
+            best
+        };
         best.map(|(dt, id)| (now + SimDuration::from_secs_f64_ceil(dt), id))
     }
 
-    /// Flows that have completed as of the last `advance`.
-    pub fn finished_flows(&self) -> Vec<FlowId> {
-        self.flows
-            .iter()
-            .filter(|(_, f)| f.finished)
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Lowest-id finished flow, if any — the allocation-free way to reap
-    /// completions one at a time (same ascending-id order as
-    /// [`finished_flows`](Self::finished_flows)).
+    /// Lowest-id flow that has completed as of the last `advance` and has
+    /// not been reaped — the allocation-free way to reap completions one at
+    /// a time, in ascending id order.
     pub fn first_finished_flow(&self) -> Option<FlowId> {
-        self.flows
-            .iter()
-            .find(|(_, f)| f.finished)
-            .map(|(&id, _)| id)
+        self.finished.keys().next().copied()
     }
 
-    /// Debug check: every stored rate equals the from-scratch fair-share
-    /// recompute, and the NIC lists agree with the flow table. Used by the
-    /// property tests; not part of the public API.
+    /// Debug check of the table's invariants: `active` strictly ascending
+    /// and disjoint from `finished`, every rate bit-equal to a from-scratch
+    /// recompute, NIC counts equal to a recount, cached minimum equal to a
+    /// recomputed one. Used by the property tests; not part of the public
+    /// API.
     #[doc(hidden)]
     pub fn debug_invariants_hold(&self) -> bool {
-        // Rates match a from-scratch recompute bit for bit.
-        for flow in self.flows.values() {
-            if flow.active() && flow.rate.to_bits() != self.fair_rate(flow.src, flow.dst).to_bits()
-            {
-                return false;
-            }
+        let cap = self.config.nic_bytes_per_sec;
+        let ascending = self.active.windows(2).all(|w| w[0].id < w[1].id);
+        let mut recount = vec![(0u32, 0u32); self.nics.len()];
+        let mut next = None;
+        for f in &self.active {
+            recount[f.src.0 as usize].0 += 1;
+            recount[f.dst.0 as usize].1 += 1;
+            note_due(&mut next, f.due());
         }
-        // `active` is exactly the non-finished flows, ascending.
-        let expect: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.active())
-            .map(|(&id, _)| id)
-            .collect();
-        if self.active != expect {
-            return false;
-        }
-        // NIC counts and lists agree with the flow table.
-        for (n, nic) in self.nics.iter().enumerate() {
-            let node = NodeId(n as u32);
-            let tx: Vec<FlowId> = expect
+        ascending
+            && self.active.iter().all(|f| {
+                !self.finished.contains_key(&f.id)
+                    && f.remaining.is_none_or(|rem| rem > COMPLETION_EPS)
+                    && f.rate.to_bits() == Self::fair_rate(cap, &self.nics, f.src, f.dst).to_bits()
+            })
+            && self
+                .nics
                 .iter()
-                .copied()
-                .filter(|id| self.flows[id].src == node)
-                .collect();
-            let rx: Vec<FlowId> = expect
-                .iter()
-                .copied()
-                .filter(|id| self.flows[id].dst == node)
-                .collect();
-            if nic.tx_flows as usize != tx.len() || nic.rx_flows as usize != rx.len() {
-                return false;
-            }
-            let mut tx_list = nic.tx_active.clone();
-            let mut rx_list = nic.rx_active.clone();
-            tx_list.sort_unstable();
-            rx_list.sort_unstable();
-            if tx_list != tx || rx_list != rx {
-                return false;
-            }
-        }
-        true
+                .zip(&recount)
+                .all(|(nic, &(tx, rx))| nic.tx_flows == tx && nic.rx_flows == rx)
+            && self.next_due == next
     }
 }
 
@@ -696,7 +517,7 @@ mod tests {
         net.advance(t(1.0));
         let moved = net.end_flow(t(1.0), f).unwrap();
         assert!((moved - CAP).abs() < 1.0);
-        assert!(net.flow(f).is_none());
+        assert_eq!(net.end_flow(t(1.0), f), None);
     }
 
     #[test]
@@ -756,53 +577,114 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_baseline_full_scan() {
-        // Same op sequence on both paths; every observable must agree.
-        let mut inc = Network::new(4, NetworkConfig::default());
-        let mut base = Network::new(
-            4,
-            NetworkConfig {
-                baseline_full_scan: true,
-                ..NetworkConfig::default()
-            },
-        );
-        let ops: &[(f64, u32, u32, Option<f64>)] = &[
-            (0.0, 0, 1, Some(5e6)),
-            (0.0, 0, 2, None),
-            (0.2, 1, 2, Some(2e6)),
-            (0.5, 3, 2, Some(9e6)),
-            (0.9, 2, 0, Some(1e3)),
-        ];
+    fn equal_flows_finishing_in_one_step_are_reaped_in_ascending_id() {
+        // A registration burst: 32 senders, one receiver, same size, same
+        // start. All complete in the same settlement step.
+        let mut net = net(33);
+        let ids: Vec<FlowId> = (1..=32)
+            .map(|i| net.start_flow(t(0.0), n(i), n(0), Some(1000.0)))
+            .collect();
+        let (done, first) = net.next_completion(t(0.0)).unwrap();
+        assert_eq!(first, ids[0]);
+        net.advance(done);
+        assert_eq!(net.rx_flow_count(n(0)), 0);
+        let mut reaped = Vec::new();
+        while let Some(id) = net.first_finished_flow() {
+            assert!((net.end_flow(done, id).unwrap() - 1000.0).abs() < 1e-3);
+            reaped.push(id);
+        }
+        assert_eq!(reaped, ids);
+        assert!(net.debug_invariants_hold());
+    }
+
+    #[test]
+    fn next_completion_between_settlements_prefers_the_lower_id_among_due_flows() {
+        let mut net = net(4);
+        // Disjoint NICs, full rate each: `a` is due at 0.2 s, `b` at 0.1 s.
+        let a = net.start_flow(t(0.0), n(0), n(1), Some(0.2 * CAP));
+        let b = net.start_flow(t(0.0), n(2), n(3), Some(0.1 * CAP));
+        assert_eq!(net.next_completion(t(0.0)), Some((t(0.1), b)));
+        // Unsettled at 0.15 s only `b` is due; at 0.3 s both are, both clamp
+        // to "now", and the lower id wins although `b` was due first.
+        assert_eq!(net.next_completion(t(0.15)), Some((t(0.15), b)));
+        assert_eq!(net.next_completion(t(0.3)), Some((t(0.3), a)));
+    }
+
+    #[test]
+    fn ending_an_unknown_or_reaped_flow_is_none_and_keeps_the_version() {
+        let mut net = net(3);
+        let f = net.start_flow(t(0.0), n(0), n(1), Some(1000.0));
+        let mut other = Network::new(3, NetworkConfig::default());
+        other.start_flow(t(0.0), n(0), n(1), None);
+        let never_issued = other.start_flow(t(0.0), n(0), n(2), None);
+        net.advance(t(1.0));
+        let v = net.version();
+        assert_eq!(net.end_flow(t(1.0), never_issued), None);
+        assert!(net.end_flow(t(1.0), f).is_some());
+        assert_eq!(net.end_flow(t(1.0), f), None);
+        assert_eq!(net.version(), v);
+        assert!(net.debug_invariants_hold());
+    }
+
+    #[test]
+    fn ending_a_mid_table_flow_keeps_order_and_rerates_its_nic_mates() {
+        let mut net = net(5);
+        let a = net.start_flow(t(0.0), n(0), n(1), None);
+        let b = net.start_flow(t(0.0), n(0), n(2), Some(10.0 * CAP));
+        let c = net.start_flow(t(0.0), n(0), n(3), None);
+        let d = net.start_flow(t(0.0), n(4), n(3), None);
+        assert_eq!(net.rate_of(c), CAP / 3.0);
+        assert_eq!(net.rate_of(d), CAP / 2.0);
+        net.advance(t(1.0));
+        let v = net.version();
+        let moved = net.end_flow(t(1.0), b).unwrap();
+        assert!((moved - CAP / 3.0).abs() < 1.0);
+        assert!(net.version() > v);
+        let left: Vec<FlowId> = net.active_flow_endpoints().map(|(id, ..)| id).collect();
+        assert_eq!(left, [a, c, d]);
+        assert_eq!(net.tx_flow_count(n(0)), 2);
+        assert_eq!(net.rate_of(a), CAP / 2.0);
+        assert_eq!(net.rate_of(c), CAP / 2.0);
+        assert_eq!(net.rate_of(d), CAP / 2.0);
+        assert_eq!(net.rate_of(b), 0.0);
+        assert!(net.debug_invariants_hold());
+    }
+
+    #[test]
+    fn a_clone_of_a_busy_network_advances_to_the_same_bits() {
+        let mut net = net(6);
         let mut ids = Vec::new();
-        for &(at, s, d, bytes) in ops {
-            let a = inc.start_flow(t(at), n(s), n(d), bytes);
-            let b = base.start_flow(t(at), n(s), n(d), bytes);
-            assert_eq!(a, b);
-            ids.push(a);
+        for i in 1..6 {
+            ids.push(net.start_flow(t(0.0), n(i), n(0), Some(i as f64 * 1e6)));
+            ids.push(net.start_flow(t(0.0), n(0), n(i), None));
         }
-        for step in 1..=40 {
-            let now = t(0.9 + step as f64 * 0.1);
-            inc.advance(now);
-            base.advance(now);
-            assert_eq!(inc.next_completion(now), base.next_completion(now));
+        net.advance(t(0.3));
+        let mut twin = net.clone();
+        for step in 1..=20 {
+            let now = t(0.3 + step as f64 * 0.25);
+            net.advance(now);
+            twin.advance(now);
+            assert_eq!(net.next_completion(now), twin.next_completion(now));
+            assert_eq!(net.first_finished_flow(), twin.first_finished_flow());
             for &id in &ids {
-                assert_eq!(inc.rate_of(id).to_bits(), base.rate_of(id).to_bits());
+                assert_eq!(net.rate_of(id).to_bits(), twin.rate_of(id).to_bits());
                 assert_eq!(
-                    inc.transferred_of(id).to_bits(),
-                    base.transferred_of(id).to_bits()
+                    net.transferred_of(id).to_bits(),
+                    twin.transferred_of(id).to_bits()
                 );
             }
-            for node in 0..4 {
+            for node in 0..6 {
                 assert_eq!(
-                    inc.tx_bytes(n(node)).to_bits(),
-                    base.tx_bytes(n(node)).to_bits()
+                    net.tx_bytes(n(node)).to_bits(),
+                    twin.tx_bytes(n(node)).to_bits()
                 );
                 assert_eq!(
-                    inc.rx_bytes(n(node)).to_bits(),
-                    base.rx_bytes(n(node)).to_bits()
+                    net.rx_bytes(n(node)).to_bits(),
+                    twin.rx_bytes(n(node)).to_bits()
                 );
             }
-            assert!(inc.debug_invariants_hold());
         }
+        assert!(net.first_finished_flow().is_some());
+        assert!(twin.debug_invariants_hold());
     }
 }

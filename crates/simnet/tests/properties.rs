@@ -1,8 +1,11 @@
 //! Property-based tests for the network model.
 
+mod reference;
+
 use ars_simcore::SimTime;
 use ars_simnet::{Network, NetworkConfig, NodeId};
 use proptest::prelude::*;
+use reference::Pair;
 
 fn t_us(us: u64) -> SimTime {
     SimTime::from_micros(us)
@@ -53,7 +56,12 @@ proptest! {
             let moved = net.transferred_of(*id);
             prop_assert!((moved - b).abs() < 1e-3, "moved {moved} of {b}");
         }
-        prop_assert_eq!(net.finished_flows().len(), bytes.len());
+        let mut reaped = 0;
+        while let Some(id) = net.first_finished_flow() {
+            prop_assert!(net.end_flow(enough, id).is_some());
+            reaped += 1;
+        }
+        prop_assert_eq!(reaped, bytes.len());
     }
 
     /// A NIC never carries more than its capacity: cumulative bytes out of
@@ -74,11 +82,11 @@ proptest! {
         prop_assert!(tx <= cap * (1.0 + 1e-9) + 1.0, "tx {tx} cap {cap}");
     }
 
-    /// The incremental per-NIC fair-share bookkeeping stays bit-identical to
-    /// the settle-everything rescan under arbitrary interleavings of flow
-    /// starts, flow ends and advances: same rates (to the bit), same served
-    /// byte counts, same projected completions — and the incremental side's
-    /// internal invariants hold throughout.
+    /// The flow table stays bit-identical to the settle-everything reference
+    /// model under arbitrary interleavings of flow starts, flow ends (of
+    /// active, finished and already-ended ids) and advances: same rates (to
+    /// the bit), same served byte counts, same NIC counters, same projected
+    /// completions — and the table's internal invariants hold throughout.
     #[test]
     fn incremental_rates_match_full_rescan(
         n_nodes in 2usize..6,
@@ -87,16 +95,8 @@ proptest! {
             1..60,
         ),
     ) {
-        let mut inc = Network::new(n_nodes, NetworkConfig::default());
-        let mut base = Network::new(
-            n_nodes,
-            NetworkConfig {
-                baseline_full_scan: true,
-                ..NetworkConfig::default()
-            },
-        );
+        let mut pair = Pair::new(n_nodes);
         let mut now = 0u64;
-        let mut live = Vec::new();
         for &(kind, s, d, bytes, dt) in &ops {
             now += dt;
             let t = t_us(now);
@@ -108,34 +108,92 @@ proptest! {
                         continue;
                     }
                     // The top of the byte range doubles as "unbounded".
-                    let b = (bytes < 1_500_000.0).then_some(bytes);
-                    let id = inc.start_flow(t, src, dst, b);
-                    prop_assert_eq!(id, base.start_flow(t, src, dst, b));
-                    live.push(id);
+                    pair.start(t, src, dst, (bytes < 1_500_000.0).then_some(bytes));
                 }
                 1 => {
-                    if live.is_empty() {
+                    if pair.ids.is_empty() {
                         continue;
                     }
-                    let id = live.swap_remove((s as usize + d as usize) % live.len());
-                    prop_assert_eq!(inc.end_flow(t, id), base.end_flow(t, id));
+                    pair.end(t, (s as usize + d as usize) % pair.ids.len());
                 }
-                _ => {
-                    inc.advance(t);
-                    base.advance(t);
-                }
+                _ => pair.advance(t),
             }
-            prop_assert!(inc.debug_invariants_hold());
-            for &id in &live {
-                prop_assert_eq!(
-                    inc.rate_of(id).to_bits(),
-                    base.rate_of(id).to_bits(),
-                    "rate diverges for {:?}",
-                    id
-                );
-                prop_assert_eq!(inc.transferred_of(id).to_bits(), base.transferred_of(id).to_bits());
-            }
-            prop_assert_eq!(inc.next_completion(t), base.next_completion(t));
+            pair.assert_same(t);
         }
+    }
+
+    /// The ledger's traffic shape: one hub receiving from 64–512 senders.
+    /// Equal-size registrations all start at one timestamp (and so finish in
+    /// one settlement step) next to a few persistent streams; then rounds of
+    /// advance / reap-through-`first_finished_flow` / fresh heartbeats and
+    /// ACKs, with `next_completion` also asked between settlements. Bit for
+    /// bit against the reference model.
+    #[test]
+    fn hub_burst_matches_reference(
+        senders in 64u32..513,
+        streams in 1u32..4,
+        reg_bytes in 500.0f64..4_000.0,
+        rounds in proptest::collection::vec(
+            (1u64..40_000, 0u32..512, 1u32..6, 100.0f64..2_000.0),
+            1..12,
+        ),
+    ) {
+        let hub = NodeId(0);
+        let mut pair = Pair::new(senders as usize + 1);
+        let mut now = 1_000u64;
+        for k in 1..=streams {
+            pair.start(t_us(now), hub, NodeId(k), None);
+            pair.start(t_us(now), NodeId(k), hub, None);
+        }
+        for s in 1..=senders {
+            pair.start(t_us(now), NodeId(s), hub, Some(reg_bytes));
+        }
+        pair.assert_same(t_us(now));
+        let mut reaped = 0;
+        for &(dt, first, burst, hb_bytes) in &rounds {
+            pair.assert_same_next_completion(t_us(now + dt / 2));
+            now += dt;
+            let t = t_us(now);
+            pair.advance(t);
+            pair.assert_same(t);
+            reaped += pair.reap_all(t);
+            for k in 0..burst {
+                let s = NodeId(1 + (first + k) % senders);
+                pair.start(t, s, hub, Some(hb_bytes));
+                pair.start(t, hub, s, Some(64.0));
+            }
+            pair.assert_same(t);
+        }
+        // Drain: every bounded flow completes, in the same order on both sides.
+        let end = t_us(now + 60_000_000);
+        pair.advance(end);
+        pair.assert_same(end);
+        reaped += pair.reap_all(end);
+        prop_assert_eq!(reaped, pair.ids.len() - 2 * streams as usize);
+    }
+}
+
+/// A fixed script (bounded flows, a persistent stream, a short late flow)
+/// settled in 40 steps: every observable agrees with the reference model at
+/// every step.
+#[test]
+fn scripted_sequence_matches_reference() {
+    let t = SimTime::from_secs_f64;
+    let mut pair = Pair::new(4);
+    let script: &[(f64, u32, u32, Option<f64>)] = &[
+        (0.0, 0, 1, Some(5e6)),
+        (0.0, 0, 2, None),
+        (0.2, 1, 2, Some(2e6)),
+        (0.5, 3, 2, Some(9e6)),
+        (0.9, 2, 0, Some(1e3)),
+    ];
+    for &(at, s, d, bytes) in script {
+        pair.start(t(at), NodeId(s), NodeId(d), bytes);
+        pair.assert_same(t(at));
+    }
+    for step in 1..=40 {
+        let now = t(0.9 + step as f64 * 0.1);
+        pair.advance(now);
+        pair.assert_same(now);
     }
 }

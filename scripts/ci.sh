@@ -87,6 +87,12 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 timeout 120 bash benchmark/run.sh --quick
 
+echo "== ledger identity (DES workloads at seed 11) =="
+# sim.events and sim.trace_fnv64 of flat_hb / tree_hb / reconfig_storm must
+# equal the values pinned in scripts/ledger_identity.txt: a change to the
+# simulation's arithmetic or event order shows here, and re-pins knowingly.
+timeout 300 scripts/ledger_identity.sh
+
 echo "== allocation lints (sim crates) =="
 # The kernel hot path is allocation-free by construction; deny the two
 # lints that catch clones/to_owned creeping back into it.
