@@ -57,7 +57,7 @@ fn bench_xml(c: &mut Criterion) {
     let schema = ApplicationSchema::compute("test_tree", 600.0);
     c.bench_function("xml/schema_roundtrip", |b| {
         b.iter(|| {
-            let d = schema.to_xml().to_document();
+            let d = schema.to_document();
             ApplicationSchema::from_document(black_box(&d)).unwrap()
         })
     });

@@ -7,10 +7,10 @@
 //! written to a temporary file and are read by the migrating process. We
 //! defined this command as a user-defined signal." (§3, §3.3)
 
-use crate::hooks::CONTROL_TAG;
+use crate::hooks::{control, CONTROL_TAG};
 use ars_hpcm::{dest_file_path, MIGRATE_SIGNAL};
 use ars_obs::Obs;
-use ars_sim::{Ctx, Payload, Pid, Program, TraceKind, Wake};
+use ars_sim::{Ctx, Pid, Program, TraceKind, Wake};
 use ars_xmlwire::{EntityRole, HostStatic, Message};
 
 /// The commander program: a passive daemon waiting for migration commands.
@@ -59,14 +59,10 @@ impl Program for Commander {
                     host: Self::host_static(ctx),
                     role: EntityRole::Commander,
                 };
-                ctx.send(self.registry, CONTROL_TAG, Payload::Text(msg.to_document()));
+                ctx.send(self.registry, CONTROL_TAG, control(msg));
             }
             Wake::Received(env) => {
-                let Some(text) = env.payload.as_text() else {
-                    return;
-                };
-                let Ok(msg) = Message::decode(text) else {
-                    ctx.trace(TraceKind::Custom, "commander: undecodable message");
+                let Some(msg) = env.payload.into_value::<Message>() else {
                     return;
                 };
                 match msg {
@@ -105,7 +101,7 @@ impl Program for Commander {
                             pid,
                             ok: true,
                         };
-                        ctx.send(self.registry, CONTROL_TAG, Payload::Text(ack.to_document()));
+                        ctx.send(self.registry, CONTROL_TAG, control(ack));
                     }
                     Message::ReRegister { .. } => {
                         // The registry lost its soft state (restart); the
@@ -119,7 +115,7 @@ impl Program for Commander {
                             host: Self::host_static(ctx),
                             role: EntityRole::Commander,
                         };
-                        ctx.send(self.registry, CONTROL_TAG, Payload::Text(msg.to_document()));
+                        ctx.send(self.registry, CONTROL_TAG, control(msg));
                     }
                     _ => {}
                 }

@@ -1,7 +1,9 @@
-//! Shared side-channels: the application-schema book and the decision log.
+//! Shared side-channels: the control-message payload, the
+//! application-schema book and the decision log.
 
+use ars_sim::Payload;
 use ars_simcore::SimTime;
-use ars_xmlwire::ApplicationSchema;
+use ars_xmlwire::{ApplicationSchema, Message};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -9,6 +11,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// The tag every rescheduler control message travels under.
 pub const CONTROL_TAG: u32 = 0xC011;
+
+/// A control message as a simulation payload: the typed [`Message`]
+/// itself, charged the exact length of its XML document. Receivers take it
+/// back with `env.payload.into_value::<Message>()`; nothing is encoded or
+/// parsed.
+pub fn control(msg: Message) -> Payload {
+    let len = msg.xml_len() as u64;
+    Payload::Value(Arc::new(msg), len)
+}
 
 /// Shared map of application name → schema ("initially provided by the
 /// users and … updated according to the statistics of actual executions").

@@ -31,7 +31,7 @@ pub mod registry;
 pub use adaptive::{AdaptiveConfig, AdaptiveConfirm};
 pub use commander::Commander;
 pub use deploy::{deploy, deploy_tree, DeployConfig, Deployment, TreeDeployment};
-pub use hooks::{DecisionRecord, ReschedHooks, ReschedLog, SchemaBook, CONTROL_TAG};
+pub use hooks::{control, DecisionRecord, ReschedHooks, ReschedLog, SchemaBook, CONTROL_TAG};
 pub use monitor::{Monitor, MonitorConfig, StateSource};
 pub use regcore::{
     CoreEffect, CoreInput, DomainHealth, Endpoint, HostEntry, Liveness, LogEffect, MalleableJob,

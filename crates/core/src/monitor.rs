@@ -9,10 +9,10 @@
 //! migration caused by small system performance variations" (§5.2).
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveConfirm};
-use crate::hooks::{SchemaBook, CONTROL_TAG};
+use crate::hooks::{control, SchemaBook, CONTROL_TAG};
 use ars_obs::{Obs, ObsEvent};
 use ars_rules::{HostState, MonitoringFrequency, Policy, RuleSet};
-use ars_sim::{Ctx, Payload, Pid, Program, RecvFilter, TraceKind, Wake};
+use ars_sim::{Ctx, Pid, Program, RecvFilter, TraceKind, Wake};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simnet::NodeId;
 use ars_sysinfo::{Ambient, Sensors};
@@ -178,8 +178,8 @@ impl Monitor {
         }
     }
 
-    fn send_control(ctx: &mut Ctx<'_>, to: Pid, msg: &Message) {
-        ctx.send(to, CONTROL_TAG, Payload::Text(msg.to_document()));
+    fn send_control(ctx: &mut Ctx<'_>, to: Pid, msg: Message) {
+        ctx.send(to, CONTROL_TAG, control(msg));
     }
 
     fn sample_and_report(&mut self, ctx: &mut Ctx<'_>) {
@@ -251,7 +251,7 @@ impl Monitor {
                 metrics,
                 procs,
             };
-            Self::send_control(ctx, self.cfg.registry, &msg);
+            Self::send_control(ctx, self.cfg.registry, msg);
             self.op_kinds.push_back(MonOp::HeartbeatSent);
             self.heartbeats_sent += 1;
             self.last_sent_state = Some(reported);
@@ -297,18 +297,18 @@ impl Monitor {
     /// Serve any queued registry pulls with the freshest sample.
     fn drain_queries(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(env) = ctx.take_message(RecvFilter::tag(CONTROL_TAG)) {
-            let Some(text) = env.payload.as_text() else {
+            let Some(msg) = env.payload.into_value::<Message>() else {
                 continue;
             };
-            match Message::decode(text) {
-                Ok(Message::StatusQuery { .. }) => {
+            match msg {
+                Message::StatusQuery { .. } => {
                     let reply = self.build_heartbeat(ctx);
-                    ctx.send(env.from, CONTROL_TAG, Payload::Text(reply.to_document()));
+                    Self::send_control(ctx, env.from, reply);
                     self.op_kinds.push_back(MonOp::ReplySent);
                     self.queries_answered += 1;
                     self.last_sent_state = Some(self.last_reported_state);
                 }
-                Ok(msg @ Message::ReRegister { .. }) => {
+                msg @ Message::ReRegister { .. } => {
                     // The registry restarted and lost its soft state:
                     // re-push our static registration (the next heartbeat
                     // repopulates the dynamic half) and relay to the local
@@ -321,10 +321,10 @@ impl Monitor {
                         host: Self::host_static(ctx),
                         role: EntityRole::Monitor,
                     };
-                    Self::send_control(ctx, self.cfg.registry, &reg);
+                    Self::send_control(ctx, self.cfg.registry, reg);
                     self.op_kinds.push_back(MonOp::ReplySent);
                     if let Some(commander) = self.cfg.commander {
-                        ctx.send(commander, CONTROL_TAG, Payload::Text(msg.to_document()));
+                        Self::send_control(ctx, commander, msg);
                         self.op_kinds.push_back(MonOp::ReplySent);
                     }
                 }
@@ -342,7 +342,7 @@ impl Program for Monitor {
                     host: Self::host_static(ctx),
                     role: EntityRole::Monitor,
                 };
-                Self::send_control(ctx, self.cfg.registry, &msg);
+                Self::send_control(ctx, self.cfg.registry, msg);
                 self.op_kinds.push_back(MonOp::RegisterSent);
             }
             Wake::OpDone => match self.op_kinds.pop_front() {

@@ -18,12 +18,12 @@
 //! Effects are applied strictly in emission order, which keeps the kernel
 //! trace identical to the pre-refactor monolithic scheduler.
 
-use crate::hooks::{ReschedHooks, SchemaBook, CONTROL_TAG};
+use crate::hooks::{control, ReschedHooks, SchemaBook, CONTROL_TAG};
 use crate::regcore::{
     CoreEffect, CoreInput, DomainHealth, Endpoint, HostEntry, LogEffect, RegistryConfig,
     RegistryCore, TimerId,
 };
-use ars_sim::{Ctx, Payload, Pid, Program, TraceKind, Wake, RESTART_SIGNAL};
+use ars_sim::{Ctx, Pid, Program, Wake, RESTART_SIGNAL};
 use ars_simcore::SimTime;
 use ars_xmlwire::{EntityRole, HostStatic, Message};
 use std::collections::{HashMap, VecDeque};
@@ -84,7 +84,7 @@ impl RegistryScheduler {
             match effect {
                 CoreEffect::Send { to, msg } => {
                     self.op_kinds.push_back(OpKind::Send);
-                    ctx.send(Pid(to.0), CONTROL_TAG, Payload::Text(msg.to_document()));
+                    ctx.send(Pid(to.0), CONTROL_TAG, control(msg));
                 }
                 CoreEffect::StartDecision { source, cost } => {
                     ctx.compute(cost);
@@ -130,7 +130,7 @@ impl Program for RegistryScheduler {
                         role: EntityRole::Registry,
                     };
                     self.op_kinds.push_back(OpKind::Send);
-                    ctx.send(Pid(parent.0), CONTROL_TAG, Payload::Text(msg.to_document()));
+                    ctx.send(Pid(parent.0), CONTROL_TAG, control(msg));
                 }
             }
             Wake::OpDone => match self.op_kinds.pop_front() {
@@ -139,11 +139,7 @@ impl Program for RegistryScheduler {
             },
             Wake::Received(env) => {
                 let from = env.from;
-                let Some(text) = env.payload.as_text() else {
-                    return;
-                };
-                let Ok(msg) = Message::decode(text) else {
-                    ctx.trace(TraceKind::Custom, "registry: undecodable message");
+                let Some(msg) = env.payload.into_value::<Message>() else {
                     return;
                 };
                 self.run(

@@ -14,11 +14,11 @@ use std::rc::Rc;
 
 use ars_rescheduler::live::{LiveClient, LiveRegistry, LIVE_CALL_TIMEOUT};
 use ars_rescheduler::{
-    Liveness, RegistryConfig, RegistryCore, RegistryScheduler, ReschedHooks, ReschedLog,
+    control, Liveness, RegistryConfig, RegistryCore, RegistryScheduler, ReschedHooks, ReschedLog,
     SchemaBook, CONTROL_TAG,
 };
 use ars_rules::Policy;
-use ars_sim::{Ctx, HostId, Payload, Pid, Program, RecvFilter, Sim, SimConfig, SpawnOpts, Wake};
+use ars_sim::{Ctx, Envelope, HostId, Pid, Program, RecvFilter, Sim, SimConfig, SpawnOpts, Wake};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_xmlwire::wire::WireCodecKind;
@@ -156,10 +156,10 @@ struct ScriptedHost {
 }
 
 impl ScriptedHost {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, text: &str) {
-        if let Ok(Message::MigrationCommand {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+        if let Some(Message::MigrationCommand {
             host, pid, dest, ..
-        }) = Message::decode(text)
+        }) = env.payload.into_value()
         {
             *self.dest.borrow_mut() = Some(dest);
             let ack = Message::CommandAck {
@@ -167,16 +167,13 @@ impl ScriptedHost {
                 pid,
                 ok: true,
             };
-            ctx.send(self.registry, CONTROL_TAG, Payload::Text(ack.to_document()));
+            ctx.send(self.registry, CONTROL_TAG, control(ack));
         }
     }
 
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
         while let Some(env) = ctx.take_message(RecvFilter::tag(CONTROL_TAG)) {
-            if let Some(text) = env.payload.as_text() {
-                let text = text.to_string();
-                self.handle(ctx, &text);
-            }
+            self.handle(ctx, env);
         }
     }
 }
@@ -190,16 +187,11 @@ impl Program for ScriptedHost {
             Wake::Alarm(_) => {
                 self.drain(ctx);
                 if let Some(msg) = self.pending.pop_front() {
-                    ctx.send(self.registry, CONTROL_TAG, Payload::Text(msg.to_document()));
+                    ctx.send(self.registry, CONTROL_TAG, control(msg));
                     ctx.alarm(SimDuration::from_secs_f64(0.15));
                 }
             }
-            Wake::Received(env) => {
-                if let Some(text) = env.payload.as_text() {
-                    let text = text.to_string();
-                    self.handle(ctx, &text);
-                }
-            }
+            Wake::Received(env) => self.handle(ctx, env),
             Wake::OpDone => self.drain(ctx),
             Wake::Signal(_) => {}
         }

@@ -118,7 +118,12 @@ impl Program for Sender {
     fn on_wake(&mut self, ctx: &mut Ctx<'_>, wake: Wake) {
         match wake {
             Wake::Started => {
-                ctx.send_sized(self.to, 7, Payload::Text(self.text.clone()), self.bytes);
+                ctx.send_sized(
+                    self.to,
+                    7,
+                    Payload::Bytes(self.text.clone().into_bytes()),
+                    self.bytes,
+                );
             }
             Wake::OpDone => {
                 self.sent_at = Some(ctx.now());
@@ -217,7 +222,8 @@ struct Collector {
 impl Program for Collector {
     fn on_wake(&mut self, _ctx: &mut Ctx<'_>, wake: Wake) {
         if let Wake::Received(env) = wake {
-            let text = env.payload.as_text().unwrap_or("").to_string();
+            let text =
+                String::from_utf8_lossy(env.payload.as_bytes().unwrap_or_default()).into_owned();
             self.got.push((env.from, env.tag, text));
         }
     }
@@ -276,8 +282,8 @@ fn recv_filter_defers_non_matching_messages() {
     impl Program for TwoSends {
         fn on_wake(&mut self, ctx: &mut Ctx<'_>, wake: Wake) {
             if wake == Wake::Started {
-                ctx.send(self.to, 9, Payload::Text("early".to_string()));
-                ctx.send(self.to, 7, Payload::Text("wanted".to_string()));
+                ctx.send(self.to, 9, Payload::Bytes(b"early".to_vec()));
+                ctx.send(self.to, 7, Payload::Bytes(b"wanted".to_vec()));
                 ctx.exit();
             }
         }
@@ -361,7 +367,10 @@ impl Program for Parent {
                 ctx.recv(RecvFilter::tag(42));
             }
             Wake::Received(env) => {
-                self.reply = env.payload.as_text().map(str::to_string);
+                self.reply = env
+                    .payload
+                    .as_bytes()
+                    .map(|b| String::from_utf8_lossy(b).into_owned());
                 ctx.exit();
             }
             _ => {}
@@ -380,7 +389,7 @@ impl Program for Child {
     fn on_wake(&mut self, ctx: &mut Ctx<'_>, wake: Wake) {
         if wake == Wake::Started {
             ctx.compute(2.0);
-            ctx.send(self.parent, 42, Payload::Text("done".to_string()));
+            ctx.send(self.parent, 42, Payload::Bytes(b"done".to_vec()));
             ctx.exit();
         }
     }

@@ -145,60 +145,204 @@ impl XmlElement {
     /// Serialize to a compact single-line document (no declaration).
     pub fn to_xml(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_xml(&mut XmlWriter::new(&mut out));
         out
     }
 
     /// Serialize with the `<?xml … ?>` declaration, as sent on the wire.
     pub fn to_document(&self) -> String {
-        let mut out = String::from("<?xml version=\"1.0\" encoding=\"US-ASCII\"?>");
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(v, out, true);
-            out.push('"');
-        }
-        if self.children.is_empty() {
-            out.push_str("/>");
-            return;
-        }
-        out.push('>');
-        for child in &self.children {
-            match child {
-                XmlNode::Element(e) => e.write(out),
-                XmlNode::Text(t) => escape_into(t, out, false),
-            }
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push('>');
+        document(self)
     }
 }
 
-fn escape_into(s: &str, out: &mut String, in_attr: bool) {
-    // Protocol values are almost always clean ASCII: copy wholesale unless a
-    // character actually needs escaping.
-    if !s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"')) {
-        out.push_str(s);
-        return;
-    }
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if in_attr => out.push_str("&quot;"),
-            _ => out.push(c),
+impl WriteXml for XmlElement {
+    fn write_xml<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>) {
+        w.begin(&self.name);
+        for (k, v) in &self.attrs {
+            w.attr(k, v);
         }
+        if self.children.is_empty() {
+            w.empty();
+            return;
+        }
+        w.content();
+        for child in &self.children {
+            match child {
+                XmlNode::Element(e) => e.write_xml(w),
+                XmlNode::Text(t) => w.text(t),
+            }
+        }
+        w.close(&self.name);
     }
+}
+
+// --- streaming writer -------------------------------------------------------
+
+/// The declaration every wire document starts with.
+const XML_DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>";
+
+/// Where [`XmlWriter`] output goes. Two impls: `String` builds the
+/// document, [`ByteCount`] measures it without materializing a byte. Both
+/// receive the identical sequence of pieces, so a count is exact by
+/// construction.
+pub(crate) trait XmlSink {
+    /// Append `s` verbatim.
+    fn put(&mut self, s: &str);
+}
+
+impl XmlSink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// A sink that keeps only the length of what was written.
+struct ByteCount(usize);
+
+impl XmlSink for ByteCount {
+    fn put(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+}
+
+/// Streams tags, attributes and text into a sink, applying the one escape
+/// rule on the way. Start tags are split so attributes can follow:
+/// [`begin`](Self::begin), any [`attr`](Self::attr)s, then
+/// [`content`](Self::content) or [`empty`](Self::empty).
+pub(crate) struct XmlWriter<'a, S: XmlSink> {
+    out: &'a mut S,
+}
+
+impl<'a, S: XmlSink> XmlWriter<'a, S> {
+    pub(crate) fn new(out: &'a mut S) -> Self {
+        XmlWriter { out }
+    }
+
+    /// `<name` — the start tag stays open for attributes.
+    pub(crate) fn begin(&mut self, name: &str) {
+        self.out.put("<");
+        self.out.put(name);
+    }
+
+    /// ` key="value"`, value escaped.
+    pub(crate) fn attr(&mut self, key: &str, value: &str) {
+        self.attr_start(key);
+        escape(value, self.out, true);
+        self.out.put("\"");
+    }
+
+    /// ` key="value"` for a number, which never needs escaping.
+    pub(crate) fn attr_display(&mut self, key: &str, value: impl fmt::Display) {
+        self.attr_start(key);
+        self.display(value);
+        self.out.put("\"");
+    }
+
+    fn attr_start(&mut self, key: &str) {
+        self.out.put(" ");
+        self.out.put(key);
+        self.out.put("=\"");
+    }
+
+    /// `>` — the start tag is complete and content follows.
+    pub(crate) fn content(&mut self) {
+        self.out.put(">");
+    }
+
+    /// `/>` — the element has no content.
+    pub(crate) fn empty(&mut self) {
+        self.out.put("/>");
+    }
+
+    /// `<name>` — an attribute-less start tag.
+    pub(crate) fn open(&mut self, name: &str) {
+        self.begin(name);
+        self.content();
+    }
+
+    /// `</name>`
+    pub(crate) fn close(&mut self, name: &str) {
+        self.out.put("</");
+        self.out.put(name);
+        self.out.put(">");
+    }
+
+    /// Character data, escaped.
+    pub(crate) fn text(&mut self, text: &str) {
+        escape(text, self.out, false);
+    }
+
+    /// A number or flag as character data (`Display` form, never escaped).
+    pub(crate) fn display(&mut self, value: impl fmt::Display) {
+        struct Put<'b, S>(&'b mut S);
+        impl<S: XmlSink> fmt::Write for Put<'_, S> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.put(s);
+                Ok(())
+            }
+        }
+        // Sinks cannot fail, and neither can the numbers' `Display`.
+        let _ = fmt::write(&mut Put(self.out), format_args!("{value}"));
+    }
+
+    /// `<name>text</name>`, text escaped — the protocol's field shape.
+    pub(crate) fn field(&mut self, name: &str, text: &str) {
+        self.open(name);
+        self.text(text);
+        self.close(name);
+    }
+
+    /// `<name>value</name>` for a number or flag.
+    pub(crate) fn field_display(&mut self, name: &str, value: impl fmt::Display) {
+        self.open(name);
+        self.display(value);
+        self.close(name);
+    }
+}
+
+/// The one escape rule: `&`, `<` and `>` always, `"` inside attribute
+/// values. Clean runs between escapes go to the sink wholesale.
+fn escape<S: XmlSink>(s: &str, out: &mut S, in_attr: bool) {
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if in_attr => "&quot;",
+            _ => continue,
+        };
+        // `i` is an ASCII byte, hence a char boundary.
+        out.put(&s[clean..i]);
+        out.put(entity);
+        clean = i + 1;
+    }
+    out.put(&s[clean..]);
+}
+
+/// A value with an XML element form, written through [`XmlWriter`] — so
+/// the same code yields the document and its exact length.
+pub(crate) trait WriteXml {
+    /// Stream the element into `w`.
+    fn write_xml<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>);
+}
+
+/// `value` as a wire document: the declaration plus its element. The
+/// buffer is pre-sized for a full heartbeat (≈ 620 B) or a migration
+/// command, so protocol messages are written without regrowing.
+pub(crate) fn document(value: &impl WriteXml) -> String {
+    let mut doc = String::with_capacity(1024);
+    doc.push_str(XML_DECLARATION);
+    value.write_xml(&mut XmlWriter::new(&mut doc));
+    doc
+}
+
+/// Exactly `document(value).len()`, computed by the same writer into a
+/// [`ByteCount`] — nothing is materialized.
+pub(crate) fn document_len(value: &impl WriteXml) -> usize {
+    let mut n = ByteCount(XML_DECLARATION.len());
+    value.write_xml(&mut XmlWriter::new(&mut n));
+    n.0
 }
 
 /// Errors produced while parsing or interpreting XML.

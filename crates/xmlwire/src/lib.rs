@@ -4,12 +4,14 @@
 //! schema* carried with every migration-enabled process ([`schema`]), and
 //! the monitor ↔ registry/scheduler ↔ commander message set ([`msg`]).
 //!
-//! The same encoding is used in two places:
+//! One streaming writer defines the XML form, with two sinks:
 //!
-//! * inside the cluster simulation, where messages travel as payload bytes
-//!   over the simulated network (so the communication-overhead figures see
-//!   realistic message sizes), and
-//! * over real TCP sockets in the `live` mode of `ars-rescheduler`.
+//! * over real TCP sockets in the `live` mode of `ars-rescheduler`, it
+//!   builds the document ([`Message::to_document`]) that goes on the wire;
+//! * inside the cluster simulation, messages travel as typed values and the
+//!   writer only counts ([`Message::xml_len`]), so the simulated network
+//!   and the communication-overhead figures charge each message exactly its
+//!   document's size without encoding or parsing it.
 
 #![warn(missing_docs)]
 

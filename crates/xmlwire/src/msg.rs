@@ -5,11 +5,15 @@
 //! used for communications between the monitor, registry/scheduler and
 //! commander entities."
 //!
-//! Every message is one XML document with root `<msg type="...">`. The same
-//! encoding is used by the in-simulation entities (as payload bytes, so byte
-//! counts are realistic) and by the real-TCP live mode.
+//! Every message is one XML document with root `<msg type="...">`, written
+//! by one streaming writer ([`Message::to_document`]). The real-TCP live
+//! mode sends that document; the simulation carries the typed `Message`
+//! and charges it [`Message::xml_len`] bytes — the same writer counting
+//! instead of building — so its byte counts are the document's, exactly.
 
-use crate::doc::{parse, XmlElement, XmlError};
+use crate::doc::{
+    document, document_len, parse, WriteXml, XmlElement, XmlError, XmlSink, XmlWriter,
+};
 use crate::schema::{ApplicationSchema, ResourceRequirements};
 
 /// Host state vocabulary of the protocol (paper Table 1, plus the
@@ -304,108 +308,16 @@ impl Message {
         }
     }
 
-    /// Serialize to the XML element form.
-    pub fn to_xml(&self) -> XmlElement {
-        let root = XmlElement::new("msg").attr("type", self.type_tag());
-        match self {
-            Message::Register { host, role } => root.attr("role", role.as_str()).child(
-                XmlElement::new("host")
-                    .attr("name", &host.name)
-                    .field("ip", &host.ip)
-                    .field("os", &host.os)
-                    .field("cpu-speed", host.cpu_speed)
-                    .field("n-cpus", host.n_cpus)
-                    .field("mem-kb", host.mem_kb),
-            ),
-            Message::Heartbeat {
-                host,
-                state,
-                metrics,
-                procs,
-            } => {
-                let mut el = root.field("host", host).field("state", state.as_str());
-                let mut metrics_el = XmlElement::new("metrics");
-                for (name, value) in metrics.iter() {
-                    metrics_el = metrics_el.child(
-                        XmlElement::new("metric")
-                            .attr("name", name)
-                            .text(value.to_string()),
-                    );
-                }
-                el = el.child(metrics_el);
-                let mut procs_el = XmlElement::new("procs");
-                for p in procs {
-                    procs_el = procs_el.child(
-                        XmlElement::new("proc")
-                            .attr("pid", p.pid)
-                            .attr("app", &p.app)
-                            .attr("start", p.start_time_s)
-                            .attr("est", p.est_exec_time_s),
-                    );
-                }
-                el.child(procs_el)
-            }
-            Message::MigrationCommand {
-                host,
-                pid,
-                dest,
-                dest_port,
-                schema,
-            } => root
-                .field("host", host)
-                .field("pid", pid)
-                .field("dest", dest)
-                .field("dest-port", dest_port)
-                .child(schema.to_xml()),
-            Message::CandidateRequest { host, requirements } => root.field("host", host).child(
-                XmlElement::new("requirements")
-                    .field("mem-kb", requirements.mem_kb)
-                    .field("disk-kb", requirements.disk_kb)
-                    .field("min-cpu-speed", requirements.min_cpu_speed),
-            ),
-            Message::CandidateReply { dest } => match dest {
-                Some(d) => root.field("dest", d),
-                None => root.child(XmlElement::new("none")),
-            },
-            Message::MigrationComplete {
-                pid,
-                from,
-                to,
-                migration_time_s,
-            } => root
-                .field("pid", pid)
-                .field("from", from)
-                .field("to", to)
-                .field("migration-time-s", migration_time_s),
-            Message::StatusQuery { host } => root.field("host", host),
-            Message::CommandAck { host, pid, ok } => {
-                root.field("host", host).field("pid", pid).field("ok", ok)
-            }
-            Message::ReRegister { host } => root.field("host", host),
-            Message::DomainReport {
-                domain,
-                free,
-                busy,
-                overloaded,
-                unavailable,
-                load_sum,
-                load_samples,
-            } => root.field("domain", domain).child(
-                XmlElement::new("health")
-                    .field("free", free)
-                    .field("busy", busy)
-                    .field("overloaded", overloaded)
-                    .field("unavailable", unavailable)
-                    .field("load-sum", load_sum)
-                    .field("load-samples", load_samples),
-            ),
-            Message::Ack { ok, info } => root.field("ok", ok).field("info", info),
-        }
-    }
-
     /// Serialize to the full wire document.
     pub fn to_document(&self) -> String {
-        self.to_xml().to_document()
+        document(self)
+    }
+
+    /// Exactly `self.to_document().len()`, from the same writer with a
+    /// byte-counting sink: what the simulation charges a control message
+    /// on the wire without materializing it.
+    pub fn xml_len(&self) -> usize {
+        document_len(self)
     }
 
     /// Parse a wire document.
@@ -578,6 +490,134 @@ impl Message {
             }),
             other => Err(XmlError::BadField("type".to_string(), other.to_string())),
         }
+    }
+}
+
+/// The message format: the only definition of what a `<msg>` looks like.
+impl WriteXml for Message {
+    fn write_xml<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>) {
+        w.begin("msg");
+        w.attr("type", self.type_tag());
+        if let Message::Register { role, .. } = self {
+            w.attr("role", role.as_str());
+        }
+        w.content();
+        match self {
+            Message::Register { host, .. } => {
+                w.begin("host");
+                w.attr("name", &host.name);
+                w.content();
+                w.field("ip", &host.ip);
+                w.field("os", &host.os);
+                w.field_display("cpu-speed", host.cpu_speed);
+                w.field_display("n-cpus", host.n_cpus);
+                w.field_display("mem-kb", host.mem_kb);
+                w.close("host");
+            }
+            Message::Heartbeat {
+                host,
+                state,
+                metrics,
+                procs,
+            } => {
+                w.field("host", host);
+                w.field("state", state.as_str());
+                w.begin("metrics");
+                if metrics.is_empty() {
+                    w.empty();
+                } else {
+                    w.content();
+                    for (name, value) in metrics.iter() {
+                        w.begin("metric");
+                        w.attr("name", name);
+                        w.content();
+                        w.display(value);
+                        w.close("metric");
+                    }
+                    w.close("metrics");
+                }
+                w.begin("procs");
+                if procs.is_empty() {
+                    w.empty();
+                } else {
+                    w.content();
+                    for p in procs {
+                        w.begin("proc");
+                        w.attr_display("pid", p.pid);
+                        w.attr("app", &p.app);
+                        w.attr_display("start", p.start_time_s);
+                        w.attr_display("est", p.est_exec_time_s);
+                        w.empty();
+                    }
+                    w.close("procs");
+                }
+            }
+            Message::MigrationCommand {
+                host,
+                pid,
+                dest,
+                dest_port,
+                schema,
+            } => {
+                w.field("host", host);
+                w.field_display("pid", pid);
+                w.field("dest", dest);
+                w.field_display("dest-port", dest_port);
+                schema.write_xml(w);
+            }
+            Message::CandidateRequest { host, requirements } => {
+                w.field("host", host);
+                requirements.write_xml(w);
+            }
+            Message::CandidateReply { dest } => match dest {
+                Some(d) => w.field("dest", d),
+                None => {
+                    w.begin("none");
+                    w.empty();
+                }
+            },
+            Message::MigrationComplete {
+                pid,
+                from,
+                to,
+                migration_time_s,
+            } => {
+                w.field_display("pid", pid);
+                w.field("from", from);
+                w.field("to", to);
+                w.field_display("migration-time-s", migration_time_s);
+            }
+            Message::StatusQuery { host } | Message::ReRegister { host } => w.field("host", host),
+            Message::CommandAck { host, pid, ok } => {
+                w.field("host", host);
+                w.field_display("pid", pid);
+                w.field_display("ok", ok);
+            }
+            Message::DomainReport {
+                domain,
+                free,
+                busy,
+                overloaded,
+                unavailable,
+                load_sum,
+                load_samples,
+            } => {
+                w.field("domain", domain);
+                w.open("health");
+                w.field_display("free", free);
+                w.field_display("busy", busy);
+                w.field_display("overloaded", overloaded);
+                w.field_display("unavailable", unavailable);
+                w.field_display("load-sum", load_sum);
+                w.field_display("load-samples", load_samples);
+                w.close("health");
+            }
+            Message::Ack { ok, info } => {
+                w.field_display("ok", ok);
+                w.field("info", info);
+            }
+        }
+        w.close("msg");
     }
 }
 

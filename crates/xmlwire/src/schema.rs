@@ -8,7 +8,7 @@
 //! computing power. The application schema is initially provided by the
 //! users and is updated according to the statistics of actual executions."
 
-use crate::doc::{parse, XmlElement, XmlError};
+use crate::doc::{document, parse, WriteXml, XmlElement, XmlError, XmlSink, XmlWriter};
 
 /// Dominant resource characteristic of an application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,20 +92,10 @@ impl ApplicationSchema {
         self.history_runs += 1;
     }
 
-    /// Serialize to the wire XML form.
-    pub fn to_xml(&self) -> XmlElement {
-        XmlElement::new("application-schema")
-            .attr("app", &self.app)
-            .field("characteristic", self.characteristic.as_str())
-            .field("est-comm-bytes", self.est_comm_bytes)
-            .child(
-                XmlElement::new("requirements")
-                    .field("mem-kb", self.requirements.mem_kb)
-                    .field("disk-kb", self.requirements.disk_kb)
-                    .field("min-cpu-speed", self.requirements.min_cpu_speed),
-            )
-            .field("est-exec-time-s", self.est_exec_time_s)
-            .field("history-runs", self.history_runs)
+    /// Serialize to a standalone document (the form
+    /// [`from_document`](Self::from_document) reads).
+    pub fn to_document(&self) -> String {
+        document(self)
     }
 
     /// Parse from the wire XML form.
@@ -145,6 +135,31 @@ impl ApplicationSchema {
     }
 }
 
+impl WriteXml for ApplicationSchema {
+    fn write_xml<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>) {
+        w.begin("application-schema");
+        w.attr("app", &self.app);
+        w.content();
+        w.field("characteristic", self.characteristic.as_str());
+        w.field_display("est-comm-bytes", self.est_comm_bytes);
+        self.requirements.write_xml(w);
+        w.field_display("est-exec-time-s", self.est_exec_time_s);
+        w.field_display("history-runs", self.history_runs);
+        w.close("application-schema");
+    }
+}
+
+/// `<requirements>`, shared by the schema and `CandidateRequest`.
+impl WriteXml for ResourceRequirements {
+    fn write_xml<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>) {
+        w.open("requirements");
+        w.field_display("mem-kb", self.mem_kb);
+        w.field_display("disk-kb", self.disk_kb);
+        w.field_display("min-cpu-speed", self.min_cpu_speed);
+        w.close("requirements");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +182,7 @@ mod tests {
     #[test]
     fn xml_roundtrip() {
         let s = sample();
-        let doc = s.to_xml().to_document();
+        let doc = s.to_document();
         let back = ApplicationSchema::from_document(&doc).unwrap();
         assert_eq!(back, s);
     }
@@ -213,10 +228,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_characteristic() {
-        let doc = sample()
-            .to_xml()
-            .to_document()
-            .replace("computing", "quantum");
+        let doc = sample().to_document().replace("computing", "quantum");
         let e = ApplicationSchema::from_document(&doc).unwrap_err();
         assert!(matches!(e, XmlError::BadField(_, _)));
     }

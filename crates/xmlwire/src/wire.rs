@@ -378,20 +378,30 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array — how every fixed-width field is
+    /// read. `Truncated` when fewer than `N` remain; never panics.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let head = *rest.first_chunk::<N>().ok_or(WireError::Truncated)?;
+        self.pos += N;
+        Ok(head)
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn f64(&mut self) -> Result<f64, WireError> {
@@ -640,16 +650,14 @@ impl FrameReader {
     /// frame and the reader stays usable.
     pub fn next_frame(&mut self) -> Result<Option<Message>, WireError> {
         if self.state == ReaderState::Negotiating {
-            match self.negotiate()? {
-                true => {}
-                false => return Ok(None),
-            }
+            self.negotiate()?;
         }
         let result = match self.state {
+            // Still too few bytes to pick a codec.
+            ReaderState::Negotiating => return Ok(None),
             ReaderState::Xml => self.next_xml(),
             ReaderState::Binary => self.next_binary(),
             ReaderState::Poisoned => Err(WireError::BadPreamble(0)),
-            ReaderState::Negotiating => unreachable!("resolved above"),
         };
         if let Err(e) = &result {
             if e.is_fatal() {
@@ -660,19 +668,19 @@ impl FrameReader {
         result
     }
 
-    /// Resolve the codec from the stream's first bytes. Returns whether
-    /// the codec is now known.
-    fn negotiate(&mut self) -> Result<bool, WireError> {
+    /// Resolve the codec from the stream's first bytes. Leaves the state
+    /// `Negotiating` while more bytes are needed.
+    fn negotiate(&mut self) -> Result<(), WireError> {
         let Some(&first) = self.buf.get(self.pos) else {
-            return Ok(false);
+            return Ok(());
         };
         if first == b'<' {
             self.state = ReaderState::Xml;
-            return Ok(true);
+            return Ok(());
         }
         if first == BIN_PREAMBLE[0] {
             if self.buffered() < BIN_PREAMBLE.len() {
-                return Ok(false);
+                return Ok(());
             }
             if self.buf[self.pos..self.pos + BIN_PREAMBLE.len()] != BIN_PREAMBLE {
                 self.state = ReaderState::Poisoned;
@@ -680,7 +688,7 @@ impl FrameReader {
             }
             self.pos += BIN_PREAMBLE.len();
             self.state = ReaderState::Binary;
-            return Ok(true);
+            return Ok(());
         }
         self.state = ReaderState::Poisoned;
         Err(WireError::BadPreamble(first))
@@ -721,10 +729,14 @@ impl FrameReader {
     }
 
     fn next_binary(&mut self) -> Result<Option<Message>, WireError> {
-        if self.buffered() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        let mut prefix = Cursor {
+            buf: &self.buf[self.pos..],
+            pos: 0,
+        };
+        let Ok(len) = prefix.u32() else {
+            return Ok(None); // the length prefix itself is incomplete
+        };
+        let len = len as usize;
         if len > self.max_frame {
             return Err(WireError::FrameTooLarge {
                 limit: self.max_frame,

@@ -9,7 +9,9 @@
 //!   wire format (`to_document()` + `\n`) — the negotiation layer must not
 //!   perturb what an unmodified paper-faithful peer sees;
 //! * a **proptest** over arbitrary messages pins the equivalence for
-//!   inputs nobody thought to put in the corpus.
+//!   inputs nobody thought to put in the corpus — and that
+//!   `Message::xml_len` (the byte count the simulation charges) is the
+//!   document's length, for every float `Display` can print.
 
 use ars_xmlwire::wire::{
     decode_binary_payload, encode_frame, FrameReader, WireCodecKind, MAX_FRAME_BYTES,
@@ -19,6 +21,7 @@ use ars_xmlwire::{
     ProcReport, ResourceRequirements,
 };
 use proptest::prelude::*;
+use proptest::BoxedStrategy;
 
 fn requirements() -> ResourceRequirements {
     ResourceRequirements {
@@ -232,12 +235,29 @@ fn name() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Za-z][A-Za-z0-9_.-]{0,15}").expect("valid regex")
 }
 
-fn finite() -> impl Strategy<Value = f64> {
-    -1e9f64..1e9
+fn finite() -> BoxedStrategy<f64> {
+    (-1e9f64..1e9).boxed()
 }
 
-fn requirements_strategy() -> impl Strategy<Value = ResourceRequirements> {
-    (any::<u64>(), any::<u64>(), finite()).prop_map(|(mem_kb, disk_kb, min_cpu_speed)| {
+/// Every float `Display` can print: arbitrary bit patterns (NaN payloads,
+/// ±inf, subnormals) plus the named corners — −0.0, the smallest
+/// subnormal, and 1e300, which prints as 301 digits.
+fn any_f64() -> BoxedStrategy<f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        any::<f64>(),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(f64::from_bits(1)),
+        Just(1e300),
+    ]
+    .boxed()
+}
+
+fn requirements_strategy(float: BoxedStrategy<f64>) -> impl Strategy<Value = ResourceRequirements> {
+    (any::<u64>(), any::<u64>(), float).prop_map(|(mem_kb, disk_kb, min_cpu_speed)| {
         ResourceRequirements {
             mem_kb,
             disk_kb,
@@ -246,7 +266,7 @@ fn requirements_strategy() -> impl Strategy<Value = ResourceRequirements> {
     })
 }
 
-fn schema_strategy() -> impl Strategy<Value = ApplicationSchema> {
+fn schema_strategy(float: BoxedStrategy<f64>) -> impl Strategy<Value = ApplicationSchema> {
     (
         name(),
         prop_oneof![
@@ -255,8 +275,8 @@ fn schema_strategy() -> impl Strategy<Value = ApplicationSchema> {
             Just(AppCharacteristic::ComputeIntensive),
         ],
         any::<u64>(),
-        requirements_strategy(),
-        finite(),
+        requirements_strategy(float.clone()),
+        float,
         any::<u32>(),
     )
         .prop_map(
@@ -274,6 +294,11 @@ fn schema_strategy() -> impl Strategy<Value = ApplicationSchema> {
 }
 
 fn message_strategy() -> impl Strategy<Value = Message> {
+    messages_over(finite())
+}
+
+/// Arbitrary messages whose `f64` fields all come from `float`.
+fn messages_over(float: BoxedStrategy<f64>) -> impl Strategy<Value = Message> {
     let state = prop_oneof![
         Just(HostState::Free),
         Just(HostState::Busy),
@@ -285,7 +310,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         Just(EntityRole::Commander),
         Just(EntityRole::Registry),
     ];
-    let proc_report = (any::<u64>(), name(), finite(), finite()).prop_map(
+    let proc_report = (any::<u64>(), name(), float.clone(), float.clone()).prop_map(
         |(pid, app, start_time_s, est_exec_time_s)| ProcReport {
             pid,
             app,
@@ -296,7 +321,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     prop_oneof![
         (
             (name(), name(), text()),
-            (finite(), any::<u32>(), any::<u64>(), role)
+            (float.clone(), any::<u32>(), any::<u64>(), role)
         )
             .prop_map(|((hostname, ip, os), (cpu_speed, n_cpus, mem_kb, role))| {
                 Message::Register {
@@ -314,7 +339,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         (
             name(),
             state,
-            proptest::collection::vec((name(), finite()), 0..6),
+            proptest::collection::vec((name(), float.clone()), 0..6),
             proptest::collection::vec(proc_report, 0..4),
         )
             .prop_map(|(host, state, metrics, procs)| {
@@ -334,7 +359,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             any::<u64>(),
             name(),
             any::<u16>(),
-            schema_strategy()
+            schema_strategy(float.clone())
         )
             .prop_map(
                 |(host, pid, dest, dest_port, schema)| Message::MigrationCommand {
@@ -345,17 +370,19 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                     schema,
                 }
             ),
-        (name(), requirements_strategy())
+        (name(), requirements_strategy(float.clone()))
             .prop_map(|(host, requirements)| Message::CandidateRequest { host, requirements }),
         proptest::option::of(name()).prop_map(|dest| Message::CandidateReply { dest }),
-        (any::<u64>(), name(), name(), finite()).prop_map(|(pid, from, to, migration_time_s)| {
-            Message::MigrationComplete {
-                pid,
-                from,
-                to,
-                migration_time_s,
+        (any::<u64>(), name(), name(), float.clone()).prop_map(
+            |(pid, from, to, migration_time_s)| {
+                Message::MigrationComplete {
+                    pid,
+                    from,
+                    to,
+                    migration_time_s,
+                }
             }
-        }),
+        ),
         name().prop_map(|host| Message::StatusQuery { host }),
         (name(), any::<u64>(), any::<bool>()).prop_map(|(host, pid, ok)| Message::CommandAck {
             host,
@@ -365,7 +392,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         name().prop_map(|host| Message::ReRegister { host }),
         (
             (name(), any::<u32>(), any::<u32>()),
-            (any::<u32>(), any::<u32>(), finite(), any::<u32>()),
+            (any::<u32>(), any::<u32>(), float, any::<u32>()),
         )
             .prop_map(
                 |((domain, free, busy), (overloaded, unavailable, load_sum, load_samples))| {
@@ -391,9 +418,18 @@ proptest! {
         let bin = encode_frame(&msg, WireCodecKind::Binary);
         let from_bin = decode_binary_payload(&bin[4..]).expect("binary decode");
         prop_assert_eq!(&from_bin, &msg);
-        let from_xml = Message::decode(&msg.to_document()).expect("xml decode");
+        let doc = msg.to_document();
+        prop_assert_eq!(msg.xml_len(), doc.len());
+        let from_xml = Message::decode(&doc).expect("xml decode");
         prop_assert_eq!(&from_xml, &msg);
         prop_assert_eq!(&from_bin, &from_xml);
+    }
+
+    /// The length the simulation charges is the document's length for
+    /// every float `Display` can print, not just the round-trippable ones.
+    #[test]
+    fn xml_len_matches_the_document_for_any_float(msg in messages_over(any_f64())) {
+        prop_assert_eq!(msg.xml_len(), msg.to_document().len());
     }
 
     /// Arbitrary messages survive a negotiating reader with the stream cut

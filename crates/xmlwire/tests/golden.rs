@@ -8,6 +8,14 @@ use ars_xmlwire::{
     ApplicationSchema, EntityRole, HostState, HostStatic, Message, Metrics, ProcReport,
 };
 
+/// The wire document, after checking that the length the simulation
+/// charges for it (`xml_len`) is exactly its length.
+fn document(msg: &Message) -> String {
+    let doc = msg.to_document();
+    assert_eq!(msg.xml_len(), doc.len(), "xml_len drifted for {doc}");
+    doc
+}
+
 #[test]
 fn golden_register() {
     let msg = Message::Register {
@@ -22,7 +30,7 @@ fn golden_register() {
         role: EntityRole::Monitor,
     };
     assert_eq!(
-        msg.to_document(),
+        document(&msg),
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>\
          <msg type=\"register\" role=\"monitor\">\
          <host name=\"ws1\"><ip>10.0.0.1</ip><os>SunOS 5.8</os>\
@@ -47,7 +55,7 @@ fn golden_heartbeat() {
         }],
     };
     assert_eq!(
-        msg.to_document(),
+        document(&msg),
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>\
          <msg type=\"heartbeat\"><host>ws2</host><state>busy</state>\
          <metrics><metric name=\"loadAvg1\">0.97</metric></metrics>\
@@ -66,7 +74,7 @@ fn golden_migration_command() {
         schema: ApplicationSchema::compute("test_tree", 600.0),
     };
     assert_eq!(
-        msg.to_document(),
+        document(&msg),
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>\
          <msg type=\"migration-command\"><host>ws1</host><pid>7</pid>\
          <dest>ws4</dest><dest-port>7801</dest-port>\
@@ -84,15 +92,14 @@ fn golden_migration_command() {
 #[test]
 fn golden_candidate_roundtrip() {
     assert_eq!(
-        Message::CandidateReply {
+        document(&Message::CandidateReply {
             dest: Some("ws4".to_string())
-        }
-        .to_document(),
+        }),
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>\
          <msg type=\"candidate-reply\"><dest>ws4</dest></msg>"
     );
     assert_eq!(
-        Message::CandidateReply { dest: None }.to_document(),
+        document(&Message::CandidateReply { dest: None }),
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?>\
          <msg type=\"candidate-reply\"><none/></msg>"
     );
@@ -107,7 +114,7 @@ fn golden_documents_decode_back() {
         "<?xml version=\"1.0\" encoding=\"US-ASCII\"?><msg type=\"migration-complete\"><pid>7</pid><from>ws1</from><to>ws4</to><migration-time-s>6.71</migration-time-s></msg>",
     ] {
         let msg = Message::decode(doc).expect(doc);
-        assert_eq!(msg.to_document(), doc);
+        assert_eq!(document(&msg), doc);
     }
 }
 
@@ -139,6 +146,6 @@ fn heartbeat_wire_size_matches_overhead_budget() {
         metrics,
         procs: vec![],
     };
-    let len = msg.to_document().len();
+    let len = document(&msg).len();
     assert!(len < 1536, "heartbeat is {len} bytes");
 }

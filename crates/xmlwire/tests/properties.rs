@@ -104,7 +104,7 @@ proptest! {
         s.est_comm_bytes = comm;
         s.requirements.mem_kb = mem;
         s.history_runs = runs;
-        let back = ApplicationSchema::from_document(&s.to_xml().to_document()).unwrap();
+        let back = ApplicationSchema::from_document(&s.to_document()).unwrap();
         prop_assert_eq!(back, s);
     }
 }

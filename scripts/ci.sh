@@ -86,6 +86,9 @@ echo "== performance ledger (benchmark/) =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 timeout 120 bash benchmark/run.sh --quick
+# A change to the dependency list of any crate the ledger path-depends on
+# rewrites benchmark/Cargo.lock, which a gain-claiming PR may not commit.
+git diff --exit-code -- benchmark/Cargo.lock BENCHMARK.json
 
 echo "== ledger identity (DES workloads at seed 11) =="
 # sim.events and sim.trace_fnv64 of flat_hb / tree_hb / reconfig_storm must
