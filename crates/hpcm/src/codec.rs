@@ -5,6 +5,14 @@
 //! tiny length-prefixed little-endian codec with just the primitives the
 //! workloads need. Hand-rolled (rather than pulling a serde backend) so the
 //! byte counts the migration experiments measure are explicit and stable.
+//!
+//! A checkpoint crosses the wire *framed*: the payload followed by its
+//! [`checksum64`] as an 8-byte little-endian trailer ([`seal_state`] appends
+//! it in place, [`unframe_state`] verifies and strips it). The checksum reads
+//! the payload a 64-bit word at a time and is guaranteed to catch any change
+//! confined to one aligned 8-byte word, so every single-bit and single-byte
+//! corruption. Reading never panics: a short or malformed stream is a
+//! [`CodecError`] at an offset inside the input.
 
 /// Writes a checkpoint stream.
 #[derive(Debug, Default)]
@@ -76,18 +84,21 @@ impl StateWriter {
 
     /// Write a length-prefixed slice of f64.
     pub fn f64s(&mut self, v: &[f64]) -> &mut Self {
-        self.u64(v.len() as u64);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-        self
+        self.words(v, f64::to_le_bytes)
     }
 
     /// Write a length-prefixed slice of u64.
     pub fn u64s(&mut self, v: &[u64]) -> &mut Self {
+        self.words(v, u64::to_le_bytes)
+    }
+
+    /// Length prefix, then the whole array in one grow and one copy pass.
+    fn words<T: Copy>(&mut self, v: &[T], le: fn(T) -> [u8; 8]) -> &mut Self {
         self.u64(v.len() as u64);
-        for x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * 8, 0);
+        for (dst, &x) in self.buf[start..].chunks_exact_mut(8).zip(v) {
+            dst.copy_from_slice(&le(x));
         }
         self
     }
@@ -133,37 +144,47 @@ impl<'a> StateReader<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        // Checked arithmetic: a corrupt length field must error, not wrap.
-        let end = self
+        // `get` rather than indexing: a corrupt length field (even one that
+        // overflows `pos + n`) must error, not panic or wrap.
+        let s = self
             .pos
             .checked_add(n)
+            .and_then(|end| self.buf.get(self.pos..end))
             .ok_or(CodecError { at: self.pos, what })?;
-        if end > self.buf.len() {
-            return Err(CodecError { at: self.pos, what });
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
+        self.pos += n;
         Ok(s)
+    }
+
+    /// The next `N` bytes as an array — how every fixed-width field is read.
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        let head = *self
+            .buf
+            .get(self.pos..)
+            .and_then(<[u8]>::first_chunk::<N>)
+            .ok_or(CodecError { at: self.pos, what })?;
+        self.pos += N;
+        Ok(head)
     }
 
     /// Read a u8.
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1, "u8")?[0])
+        let [b] = self.array("u8")?;
+        Ok(b)
     }
 
     /// Read a u32.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, "u32")?.try_into().unwrap()))
+        self.array("u32").map(u32::from_le_bytes)
     }
 
     /// Read a u64.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, "u64")?.try_into().unwrap()))
+        self.array("u64").map(u64::from_le_bytes)
     }
 
     /// Read an f64.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8, "f64")?.try_into().unwrap()))
+        self.array("f64").map(f64::from_le_bytes)
     }
 
     /// Read a bool.
@@ -188,67 +209,105 @@ impl<'a> StateReader<'a> {
 
     /// Read a length-prefixed slice of f64.
     pub fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.u64()? as usize;
-        let len = n.checked_mul(8).ok_or(CodecError {
-            at: self.pos,
-            what: "f64s length",
-        })?;
-        let raw = self.take(len, "f64s body")?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        self.words("f64s", f64::from_le_bytes)
     }
 
     /// Read a length-prefixed slice of u64.
     pub fn u64s(&mut self) -> Result<Vec<u64>, CodecError> {
-        let n = self.u64()? as usize;
-        let len = n.checked_mul(8).ok_or(CodecError {
-            at: self.pos,
-            what: "u64s length",
-        })?;
-        let raw = self.take(len, "u64s body")?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        self.words("u64s", u64::from_le_bytes)
+    }
+
+    /// Length prefix, then that many 8-byte words. The body is bounds-checked
+    /// before the `Vec` is allocated, so a lying length costs nothing.
+    fn words<T>(&mut self, what: &'static str, le: fn([u8; 8]) -> T) -> Result<Vec<T>, CodecError> {
+        let at = self.pos;
+        let n = self.u64()?;
+        let len = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .ok_or(CodecError { at, what })?;
+        let (words, _) = self.take(len, what)?.as_chunks::<8>();
+        Ok(words.iter().map(|&w| le(w)).collect())
     }
 }
 
 // --- Checkpoint framing ------------------------------------------------------
 
-/// FNV-1a 64-bit hash of `bytes` (the checkpoint integrity checksum).
+/// Odd multipliers (the 64-bit primes of xxHash64): multiplying by an odd
+/// constant is a bijection on `u64`.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+/// The checkpoint integrity checksum: 64 bits, one 8-byte word at a time.
+///
+/// Four independent lanes each absorb every fourth little-endian word as
+/// `lane = ((lane ^ word) * P1).rotate_left(31)`; a short tail is zero-padded
+/// to one more word. The lanes, then the length, are folded into one value
+/// and avalanched. Each step is a bijection of its state for a fixed word and
+/// injective in the word for a fixed state, so two inputs of equal length
+/// that differ only inside one aligned 8-byte word always hash differently —
+/// in particular every single-bit and single-byte corruption is caught.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    #[inline(always)]
+    fn absorb(lane: u64, word: [u8; 8]) -> u64 {
+        ((lane ^ u64::from_le_bytes(word)).wrapping_mul(P1)).rotate_left(31)
     }
-    h
+    let mut lanes = [P1, P2, !P1, !P2];
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (blocks, rest) = words.as_chunks::<4>();
+    for block in blocks {
+        for (lane, &word) in lanes.iter_mut().zip(block) {
+            *lane = absorb(*lane, word);
+        }
+    }
+    // The 0–3 leftover words, then the zero-padded tail (if any), go to the
+    // next lanes in order; at most four words remain, so none is dropped.
+    let padded = (!tail.is_empty()).then(|| {
+        let mut word = [0u8; 8];
+        for (w, &b) in word.iter_mut().zip(tail) {
+            *w = b;
+        }
+        word
+    });
+    for (lane, word) in lanes.iter_mut().zip(rest.iter().copied().chain(padded)) {
+        *lane = absorb(*lane, word);
+    }
+    let mut h = bytes.len() as u64;
+    for lane in lanes {
+        h = ((h ^ lane).wrapping_mul(P2)).rotate_left(27);
+    }
+    // Final avalanche (the SplitMix64 / MurmurHash3 finaliser).
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
-/// Frame a checkpoint for the wire: payload followed by its
+/// Seal a checkpoint for the wire, in place: append the payload's
 /// [`checksum64`], little-endian. The destination verifies before
-/// restoring, so a corrupted transfer aborts the migration instead of
-/// resurrecting a process from garbage.
+/// restoring ([`unframe_state`]), so a corrupted transfer aborts the
+/// migration instead of resurrecting a process from garbage.
+pub fn seal_state(payload: &mut Vec<u8>) {
+    let sum = checksum64(payload);
+    payload.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// A sealed copy of `payload` ([`seal_state`] on a fresh `Vec`).
 pub fn frame_state(payload: &[u8]) -> Vec<u8> {
     let mut framed = Vec::with_capacity(payload.len() + 8);
     framed.extend_from_slice(payload);
-    framed.extend_from_slice(&checksum64(payload).to_le_bytes());
+    seal_state(&mut framed);
     framed
 }
 
-/// Verify and strip the [`frame_state`] trailer, returning the payload.
+/// Verify and strip the [`seal_state`] trailer, returning the payload.
 pub fn unframe_state(framed: &[u8]) -> Result<&[u8], CodecError> {
-    if framed.len() < 8 {
-        return Err(CodecError {
-            at: framed.len(),
-            what: "checkpoint frame too short",
-        });
-    }
-    let (payload, tail) = framed.split_at(framed.len() - 8);
-    let got = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if got != checksum64(payload) {
+    let (payload, tail) = framed.split_last_chunk::<8>().ok_or(CodecError {
+        at: framed.len(),
+        what: "checkpoint frame too short",
+    })?;
+    if u64::from_le_bytes(*tail) != checksum64(payload) {
         return Err(CodecError {
             at: payload.len(),
             what: "checkpoint checksum mismatch",

@@ -25,7 +25,9 @@ pub mod reconfig;
 pub mod shell;
 pub mod state;
 
-pub use codec::{checksum64, frame_state, unframe_state, CodecError, StateReader, StateWriter};
+pub use codec::{
+    checksum64, frame_state, seal_state, unframe_state, CodecError, StateReader, StateWriter,
+};
 pub use reconfig::Reconfiguration;
 pub use shell::HpcmShell;
 pub use state::{

@@ -11,7 +11,7 @@
 
 use super::plan::Plan;
 use super::{is_protocol_tag, HpcmShell, Mode};
-use crate::codec::frame_state;
+use crate::codec::seal_state;
 use crate::reconfig::Reconfiguration;
 use crate::state::{
     dest_file_path, MigratableApp, MigrationOutcome, MigrationRecord, ResizeKind, ResizeRecord,
@@ -296,9 +296,11 @@ impl<A: MigratableApp> HpcmShell<A> {
             }
         }
         for (child, blob) in tx.children.iter().zip(&mut tx.plan.blobs) {
-            // The framed copy travels; only `lazy_bytes` is needed later.
-            let eager = std::mem::take(&mut blob.eager);
-            ctx.send(*child, TAG_HPCM_EAGER, Payload::Bytes(frame_state(&eager)));
+            // The checkpoint itself travels, sealed in place; only
+            // `lazy_bytes` is needed later.
+            let mut eager = std::mem::take(&mut blob.eager);
+            seal_state(&mut eager);
+            ctx.send(*child, TAG_HPCM_EAGER, Payload::Bytes(eager));
         }
         self.deadline = ctx.alarm(self.cfg.commit_timeout);
         let sends_left = tx.children.len() as u32;

@@ -13,10 +13,12 @@
 //!    dynamic-process-management cost unless pre-initialized). **Prepare:**
 //!    the source waits for the destination's READY, bounded by
 //!    [`HpcmConfig::prepare_timeout`];
-//! 3. **Transfer:** the eager checkpoint is framed with an integrity
-//!    checksum ([`crate::codec::frame_state`]) and sent; the destination
-//!    verifies, restores (rejecting corrupt state), and answers COMMIT,
-//!    all bounded by [`HpcmConfig::commit_timeout`] on the source;
+//! 3. **Transfer:** the eager checkpoint is sealed in place with a
+//!    word-at-a-time integrity checksum ([`crate::codec::seal_state`]; any
+//!    corruption confined to one 8-byte word is always caught) and sent
+//!    without a copy; the destination verifies, restores (rejecting corrupt
+//!    state), and answers COMMIT, all bounded by
+//!    [`HpcmConfig::commit_timeout`] on the source;
 //! 4. **Commit:** the source installs the kernel forwarding entry,
 //!    re-sends held and queued application messages to the new pid,
 //!    acknowledges with COMMIT_ACK and streams the bulk remainder lazily

@@ -1,6 +1,9 @@
-//! Property-based tests for the checkpoint codec and migration invariants.
+//! Property-based tests for the checkpoint codec, its integrity checksum and
+//! framing, and byte-level fuzzing of every checkpoint reader.
 
-use ars_hpcm::{StateReader, StateWriter};
+use ars_hpcm::{
+    checksum64, frame_state, seal_state, unframe_state, CodecError, StateReader, StateWriter,
+};
 use proptest::prelude::*;
 
 /// One field of a synthetic checkpoint.
@@ -116,5 +119,197 @@ proptest! {
         }
         // If everything read back, the cut must have been at the very end.
         prop_assert_eq!(cut, bytes.len());
+    }
+}
+
+// --- Checksum and framing -----------------------------------------------------
+
+/// A deterministic, non-repeating payload of `len` bytes.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len as u32)
+        .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 24) as u8)
+        .collect()
+}
+
+/// Every payload length whose tail shape the checksum distinguishes: empty,
+/// every partial word, and whole 4-word blocks followed by 0–3 words.
+const LENGTHS: std::ops::RangeInclusive<usize> = 0..=257;
+
+#[test]
+fn every_single_bit_flip_is_detected() {
+    for len in LENGTHS {
+        let framed = frame_state(&pattern(len));
+        // Payload and trailer alike: no flipped bit may unframe.
+        for bit in 0..framed.len() * 8 {
+            let mut bad = framed.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                unframe_state(&bad).is_err(),
+                "len {len}: flip of bit {bit} undetected"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_one_word_overwrite_is_detected() {
+    // Deltas with a single bit, all bits, the two ends, and a dense mix:
+    // XOR-ing one into an aligned word overwrites it with a different value.
+    let deltas = [
+        1u64,
+        u64::MAX,
+        0x8000_0000_0000_0001,
+        0x0123_4567_89ab_cdef,
+        0xff00_0000_0000_0000,
+    ];
+    for len in LENGTHS {
+        let payload = pattern(len);
+        let sum = checksum64(&payload);
+        for start in (0..len).step_by(8) {
+            let end = (start + 8).min(len);
+            for delta in deltas {
+                let mut bad = payload.clone();
+                let mut changed = false;
+                for (b, d) in bad[start..end].iter_mut().zip(delta.to_le_bytes()) {
+                    *b ^= d;
+                    changed |= d != 0;
+                }
+                if changed {
+                    assert_ne!(
+                        checksum64(&bad),
+                        sum,
+                        "len {len}: word at {start} overwritten with delta {delta:#x} undetected"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_truncation_and_one_byte_extension_is_rejected() {
+    for len in [0, 1, 7, 8, 9, 31, 32, 33, 64, 100, 257] {
+        let framed = frame_state(&pattern(len));
+        for cut in 0..framed.len() {
+            assert!(
+                unframe_state(&framed[..cut]).is_err(),
+                "len {len}: truncation to {cut} accepted"
+            );
+        }
+        for extra in 0..=u8::MAX {
+            let mut longer = framed.clone();
+            longer.push(extra);
+            assert!(
+                unframe_state(&longer).is_err(),
+                "len {len}: extension by {extra:#04x} accepted"
+            );
+        }
+    }
+}
+
+/// Pinned trailer values: a change to the checksum's definition must be a
+/// deliberate, visible edit here, never a silent drift of the frame format.
+#[test]
+fn checksum_known_answers() {
+    assert_eq!(checksum64(b""), 0x08bc_d6e3_9094_c603);
+    assert_eq!(checksum64(b"checkpoint bytes"), 0xeba4_1730_0f73_f2b6);
+    assert_eq!(checksum64(&pattern(512 * 1024)), 0xc438_b6ab_8efa_bb82);
+    let framed = frame_state(b"checkpoint bytes");
+    assert_eq!(framed[16..], checksum64(b"checkpoint bytes").to_le_bytes());
+}
+
+proptest! {
+    /// `frame_state` is a sealed copy, byte for byte.
+    #[test]
+    fn frame_state_equals_sealing_a_copy(payload in proptest::collection::vec(any::<u8>(), 0..600)) {
+        let mut sealed = payload.clone();
+        seal_state(&mut sealed);
+        prop_assert_eq!(frame_state(&payload), sealed.clone());
+        prop_assert_eq!(unframe_state(&sealed).unwrap(), payload.as_slice());
+    }
+
+    /// A random nonzero change to one aligned word, at a random length and
+    /// offset, is always caught.
+    #[test]
+    fn random_one_word_change_is_detected(
+        len in 1usize..2048,
+        at in any::<prop::sample::Index>(),
+        delta in 1u64..u64::MAX,
+    ) {
+        let payload = pattern(len);
+        let start = at.index(len) / 8 * 8;
+        let end = (start + 8).min(len);
+        let mut bad = payload.clone();
+        for (b, d) in bad[start..end].iter_mut().zip(delta.to_le_bytes()) {
+            *b ^= d;
+        }
+        prop_assert!(bad == payload || checksum64(&bad) != checksum64(&payload));
+    }
+}
+
+// --- Byte-level fuzz of the checkpoint readers ------------------------------
+
+/// Apply one reader method by number; every error must point inside the input.
+fn read_one(r: &mut StateReader<'_>, op: u8, input_len: usize) -> Result<(), CodecError> {
+    let res = match op % 9 {
+        0 => r.u8().map(drop),
+        1 => r.u32().map(drop),
+        2 => r.u64().map(drop),
+        3 => r.f64().map(drop),
+        4 => r.bool().map(drop),
+        5 => r.bytes().map(drop),
+        6 => r.str().map(drop),
+        7 => r.f64s().map(drop),
+        _ => r.u64s().map(drop),
+    };
+    if let Err(e) = &res {
+        assert!(
+            e.at <= input_len,
+            "error {e} past the input ({input_len} bytes)"
+        );
+    }
+    res
+}
+
+proptest! {
+    /// Arbitrary bytes never make `unframe_state` panic, and a rejection
+    /// points inside the input.
+    #[test]
+    fn unframe_state_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..4096)) {
+        match unframe_state(&bytes) {
+            Ok(payload) => prop_assert_eq!(payload.len() + 8, bytes.len()),
+            Err(e) => prop_assert!(e.at <= bytes.len()),
+        }
+    }
+
+    /// Random method sequences over arbitrary bytes never panic; every
+    /// error points inside the input (checked in `read_one`).
+    #[test]
+    fn state_reader_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..4096),
+        ops in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut r = StateReader::new(&bytes);
+        for op in ops {
+            let _ = read_one(&mut r, op, bytes.len());
+        }
+    }
+
+    /// A length field claiming more than what remains errors before the
+    /// reader allocates: claims of up to 2^40 elements (8 TiB) would abort
+    /// the process if the reader sized a `Vec` from them first.
+    #[test]
+    fn oversized_length_fields_error_before_allocating(
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+        excess in 1u64..(1 << 40),
+        op in 5u8..9,
+    ) {
+        let claim = (body.len() as u64).saturating_add(excess);
+        let mut w = StateWriter::new();
+        w.u64(claim);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(&body);
+        let mut r = StateReader::new(&bytes);
+        prop_assert!(read_one(&mut r, op, bytes.len()).is_err());
     }
 }

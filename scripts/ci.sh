@@ -37,6 +37,11 @@ echo "== tests =="
 #   - the chaos suite at its default seeds; the steps below widen the matrix.
 cargo test --release --workspace -q
 
+echo "== checkpoint codec matrix =="
+# Widens the checkpoint codec round-trip, checksum-detection and byte-level
+# reader fuzz properties past the default-case pass above.
+PROPTEST_CASES=2000 cargo test --release -q -p ars-hpcm --test properties
+
 echo "== wire smoke (256 conns per codec) =="
 # One small live-registry load cell per codec: asserts liveness and sane
 # latency-sample counts, not codec ordering (CI boxes cannot promise
@@ -96,11 +101,12 @@ echo "== ledger identity (DES workloads at seed 11) =="
 # simulation's arithmetic or event order shows here, and re-pins knowingly.
 timeout 300 scripts/ledger_identity.sh
 
-echo "== allocation lints (sim crates) =="
-# The kernel hot path is allocation-free by construction; deny the two
-# lints that catch clones/to_owned creeping back into it.
+echo "== allocation lints (sim crates, checkpoint path) =="
+# The kernel hot path is allocation-free by construction, and a checkpoint
+# is sealed in place, never copied; deny the two lints that catch
+# clones/to_owned creeping back into either.
 cargo clippy -p ars-sim -p ars-simcore -p ars-simnet -p ars-simhost -p ars-rescheduler \
-    --all-targets -- -D warnings -D clippy::unnecessary_to_owned -D clippy::redundant_clone
+    -p ars-hpcm --all-targets -- -D warnings -D clippy::unnecessary_to_owned -D clippy::redundant_clone
 
 echo "== rustfmt =="
 # Vendored crates (vendor/*) keep their upstream formatting, so list our
