@@ -12,6 +12,7 @@ use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_simnet::NodeId;
 use ars_sysinfo::Ambient;
+use std::sync::Arc;
 
 fn small_tree(seed: u64) -> TestTreeConfig {
     TestTreeConfig {
@@ -233,7 +234,7 @@ pub fn hierarchy(n_hosts: usize, domains: usize, seed: u64) -> HierarchyOutcome 
             Box::new(Monitor::new(
                 MonitorConfig {
                     registry,
-                    state_source: StateSource::Policy(Policy::paper_policy2()),
+                    state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
                     freq: MonitoringFrequency {
                         free: SimDuration::from_secs(heartbeat_s),
                         busy: SimDuration::from_secs(heartbeat_s),
@@ -396,7 +397,7 @@ pub fn selection(
             Box::new(Monitor::new(
                 MonitorConfig {
                     registry,
-                    state_source: StateSource::Policy(Policy::paper_policy2()),
+                    state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
                     freq: MonitoringFrequency::default(),
                     ambient: Ambient::default(),
                     overload_confirm: SimDuration::from_secs(40),

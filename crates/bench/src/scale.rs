@@ -28,6 +28,7 @@ use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_simnet::NodeId;
 use ars_sysinfo::Ambient;
+use std::sync::Arc;
 
 /// Which kernel paths the run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +154,7 @@ fn build_scale_sim(
             Box::new(Monitor::new(
                 MonitorConfig {
                     registry,
-                    state_source: StateSource::Policy(Policy::paper_policy2()),
+                    state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
                     freq: MonitoringFrequency {
                         free: SimDuration::from_secs(10),
                         busy: SimDuration::from_secs(10),

@@ -11,6 +11,7 @@ use ars_rules::{MonitoringFrequency, Policy};
 use ars_sim::{HostId, Pid, Sim, SpawnOpts};
 use ars_simcore::SimDuration;
 use ars_sysinfo::Ambient;
+use std::sync::Arc;
 
 /// Handles to a deployed rescheduler.
 pub struct Deployment {
@@ -250,13 +251,14 @@ fn spawn_host_entities(
 ) -> (Vec<Pid>, Vec<Pid>) {
     let mut monitors = Vec::new();
     let mut commanders = Vec::new();
+    // One classifier for the whole deployment; every monitor shares it.
+    let state_source = if cfg.use_paper_rules {
+        StateSource::Rules(Arc::new(ars_rules::RuleSet::paper()))
+    } else {
+        StateSource::Policy(Arc::new(cfg.policy.clone()))
+    };
     for (i, &host) in monitored.iter().enumerate() {
         let registry = registries[i % registries.len()];
-        let state_source = if cfg.use_paper_rules {
-            StateSource::Rules(ars_rules::RuleSet::paper())
-        } else {
-            StateSource::Policy(cfg.policy.clone())
-        };
         // Commander first so the monitor can be pointed at it: after a
         // registry restart the monitor relays the `ReRegister` nudge to the
         // local commander, which re-sends its own `Register`.
@@ -268,7 +270,7 @@ fn spawn_host_entities(
         commanders.push(commander);
         let mon_cfg = MonitorConfig {
             registry,
-            state_source,
+            state_source: state_source.clone(),
             freq: cfg.freq,
             ambient: cfg.ambient.clone(),
             overload_confirm: cfg.overload_confirm,

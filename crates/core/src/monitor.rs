@@ -17,14 +17,17 @@ use ars_simcore::{SimDuration, SimTime};
 use ars_simnet::NodeId;
 use ars_sysinfo::{Ambient, Sensors};
 use ars_xmlwire::{EntityRole, HostStatic, Message, Metrics, ProcReport};
+use std::sync::Arc;
 
-/// How the monitor classifies its host's state.
+/// How the monitor classifies its host's state. Both sources are read-only
+/// and shared: a deployment builds one and every monitor holds an `Arc`.
+#[derive(Clone)]
 pub enum StateSource {
     /// Evaluate a rule file (the paper's Figures 3/4 mechanism).
-    Rules(RuleSet),
+    Rules(Arc<RuleSet>),
     /// Derive the state from a §5.3 policy: trigger ⇒ overloaded,
     /// destination-acceptable ⇒ free, otherwise busy.
-    Policy(Policy),
+    Policy(Arc<Policy>),
 }
 
 impl StateSource {
@@ -80,7 +83,7 @@ impl MonitorConfig {
     pub fn new(registry: Pid) -> Self {
         MonitorConfig {
             registry,
-            state_source: StateSource::Rules(RuleSet::paper()),
+            state_source: StateSource::Rules(Arc::new(RuleSet::paper())),
             freq: MonitoringFrequency::default(),
             ambient: Ambient::default(),
             overload_confirm: SimDuration::from_secs(60),

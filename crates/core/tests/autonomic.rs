@@ -14,6 +14,7 @@ use ars_sim::{HostId, Sim, SimConfig, SpawnOpts};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_sysinfo::Ambient;
+use std::sync::Arc;
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -374,7 +375,7 @@ fn hierarchical_registry_escalates_across_domains() {
     let spawn_pair = |sim: &mut Sim, host: HostId, registry| {
         let mon_cfg = MonitorConfig {
             registry,
-            state_source: StateSource::Policy(Policy::paper_policy2()),
+            state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
             freq: Default::default(),
             ambient: test_ambient(),
             overload_confirm: SimDuration::from_secs(30),

@@ -14,6 +14,7 @@ use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_sysinfo::Ambient;
 use ars_xmlwire::ResourceRequirements;
+use std::sync::Arc;
 
 fn t(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -212,7 +213,7 @@ fn re_registration_after_expiry_restores_first_fit_eligibility() {
         Box::new(Monitor::new(
             MonitorConfig {
                 registry: dep.registry,
-                state_source: StateSource::Policy(Policy::paper_policy2()),
+                state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
                 freq: MonitoringFrequency::default(),
                 ambient: Ambient::default(),
                 overload_confirm: SimDuration::from_secs(40),

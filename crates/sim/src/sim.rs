@@ -84,7 +84,7 @@ pub struct ProcMeta {
     /// Interned process name: cloning is a refcount bump, so per-heartbeat
     /// and per-trace uses never copy the string bytes.
     pub(crate) name: Arc<str>,
-    pub(crate) ops: std::collections::VecDeque<Op>,
+    pub(crate) ops: OpQueue,
     pub(crate) run: RunState,
     pub(crate) mailbox: std::collections::VecDeque<Envelope>,
     pub(crate) signals: std::collections::VecDeque<u32>,
@@ -92,10 +92,50 @@ pub struct ProcMeta {
     pub(crate) exited_at: Option<SimTime>,
 }
 
+/// A process's FIFO of ops not yet started. Nearly every wake queues one
+/// op and starts it at once, so the first op lives inline and only a
+/// process that queues a second one allocates.
+#[derive(Default)]
+pub(crate) struct OpQueue {
+    /// The front op. Invariant: `head.is_none()` ⇒ `rest.is_empty()`.
+    head: Option<Op>,
+    rest: std::collections::VecDeque<Op>,
+}
+
+impl OpQueue {
+    pub(crate) fn push_back(&mut self, op: Op) {
+        if self.head.is_none() {
+            self.head = Some(op);
+        } else {
+            self.rest.push_back(op);
+        }
+    }
+
+    pub(crate) fn pop_front(&mut self) -> Option<Op> {
+        let op = self.head.take();
+        self.head = self.rest.pop_front();
+        op
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.head.is_none()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.head = None;
+        self.rest.clear();
+    }
+}
+
 struct ProcSlot {
     meta: ProcMeta,
     program: Option<Box<dyn Program>>,
 }
+
+// Every event and every process slot passes through these types; a change
+// that regrows them should be a decision, not an accident.
+const _: () = assert!(std::mem::size_of::<Event>() == 24);
+const _: () = assert!(std::mem::size_of::<ProcSlot>() <= 256);
 
 pub(crate) struct PendingSpawn {
     pub(crate) pid: Pid,
@@ -234,8 +274,9 @@ pub struct Kernel {
     cpu_jobs: Vec<Vec<(JobId, Pid)>>,
     flow_purpose: FxHashMap<FlowId, FlowPurpose>,
     pub(crate) forwarding: FxHashMap<Pid, Pid>,
-    cpu_sched: Vec<Option<(u64, SimTime, EventId)>>,
-    net_sched: Option<(u64, SimTime, EventId)>,
+    /// Per host: the CPU version its pending `CpuDone` was computed for.
+    cpu_sched: Vec<Option<(u64, EventId)>>,
+    net_sched: Option<(u64, EventId)>,
     timer_seq: u64,
     pub(crate) alarm_seq: u64,
     pub(crate) faults: Option<FaultEngine>,
@@ -1259,7 +1300,7 @@ impl Sim {
                         pid: spawn.pid,
                         host: spawn.host,
                         name,
-                        ops: std::collections::VecDeque::new(),
+                        ops: OpQueue::default(),
                         run: RunState::Dead,
                         mailbox: std::collections::VecDeque::new(),
                         signals: std::collections::VecDeque::new(),
@@ -1291,7 +1332,7 @@ impl Sim {
                     pid: spawn.pid,
                     host: spawn.host,
                     name,
-                    ops: std::collections::VecDeque::new(),
+                    ops: OpQueue::default(),
                     run: RunState::Idle,
                     mailbox: std::collections::VecDeque::new(),
                     signals: std::collections::VecDeque::new(),
@@ -1399,30 +1440,30 @@ impl Sim {
     fn resync_host(&mut self, i: usize) {
         let now = self.kernel.now;
         let version = self.kernel.hosts[i].cpu_version();
-        let cached_ok = matches!(self.kernel.cpu_sched[i], Some((v, _, _)) if v == version);
+        let cached_ok = matches!(self.kernel.cpu_sched[i], Some((v, _)) if v == version);
         if cached_ok {
             return;
         }
-        if let Some((_, _, ev)) = self.kernel.cpu_sched[i].take() {
+        if let Some((_, ev)) = self.kernel.cpu_sched[i].take() {
             self.kernel.queue.cancel(ev);
         }
         if let Some((t, _)) = self.kernel.hosts[i].next_cpu_completion(now) {
             let ev = self.kernel.queue.push(t, Event::CpuDone { host: i as u32 });
-            self.kernel.cpu_sched[i] = Some((version, t, ev));
+            self.kernel.cpu_sched[i] = Some((version, ev));
         }
     }
 
     fn resync_net(&mut self) {
         let now = self.kernel.now;
         let version = self.kernel.net.version();
-        let cached_ok = matches!(self.kernel.net_sched, Some((v, _, _)) if v == version);
+        let cached_ok = matches!(self.kernel.net_sched, Some((v, _)) if v == version);
         if !cached_ok {
-            if let Some((_, _, ev)) = self.kernel.net_sched.take() {
+            if let Some((_, ev)) = self.kernel.net_sched.take() {
                 self.kernel.queue.cancel(ev);
             }
             if let Some((t, _)) = self.kernel.net.next_completion(now) {
                 let ev = self.kernel.queue.push(t, Event::NetDone);
-                self.kernel.net_sched = Some((version, t, ev));
+                self.kernel.net_sched = Some((version, ev));
             }
         }
     }

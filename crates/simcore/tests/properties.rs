@@ -1,7 +1,31 @@
 //! Property-based tests for the simulation kernel invariants.
 
-use ars_simcore::{EventQueue, SharedResource, SimRng, SimTime};
+use ars_simcore::{EventId, EventQueue, SharedResource, SimRng, SimTime};
 use proptest::prelude::*;
+use proptest::sample::Index;
+use std::collections::BTreeMap;
+
+/// One step of a random queue interleaving.
+#[derive(Debug, Clone)]
+enum QueueStep {
+    Push(u64),
+    Pop,
+    Peek,
+    /// Cancel one of the ids issued so far: pending, cancelled, fired or
+    /// skipped, and possibly naming a slot that now holds a later event.
+    Cancel(Index),
+}
+
+/// Weighted 4 push : 3 pop : 1 peek : 3 cancel, so the queue both grows
+/// and drains and most cancels name an id whose slot has been recycled.
+fn queue_step() -> impl Strategy<Value = QueueStep> {
+    (0u8..11, 0u64..40, any::<Index>()).prop_map(|(kind, t, ix)| match kind {
+        0..=3 => QueueStep::Push(t),
+        4..=6 => QueueStep::Pop,
+        7 => QueueStep::Peek,
+        _ => QueueStep::Cancel(ix),
+    })
+}
 
 proptest! {
     /// The event queue always pops in non-decreasing (time, insertion) order.
@@ -47,6 +71,86 @@ proptest! {
         popped.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(popped, expect);
+    }
+
+    /// Random push / pop / peek / cancel interleavings behave exactly like a
+    /// reference ordered map of the heap's contents, where a cancelled entry
+    /// stays until a pop or peek skips it. Pops match the reference, `len()`
+    /// is exact after every step, and the slot table never grows past the
+    /// most entries ever queued at once.
+    #[test]
+    fn queue_matches_reference_model(
+        steps in proptest::collection::vec(queue_step(), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        // (time, seq) -> (payload, cancelled), mirroring the heap.
+        let mut model: BTreeMap<(SimTime, u64), (usize, bool)> = BTreeMap::new();
+        let mut issued: Vec<(EventId, (SimTime, u64))> = Vec::new();
+        let mut live = 0usize;
+        let mut peak = 0usize;
+        let skip_cancelled = |model: &mut BTreeMap<(SimTime, u64), (usize, bool)>| {
+            while let Some(entry) = model.first_entry() {
+                if !entry.get().1 {
+                    break;
+                }
+                entry.remove();
+            }
+        };
+        for step in steps {
+            match step {
+                QueueStep::Push(t) => {
+                    let at = SimTime::from_micros(t);
+                    let seq = issued.len() as u64;
+                    let id = q.push(at, seq as usize);
+                    model.insert((at, seq), (seq as usize, false));
+                    issued.push((id, (at, seq)));
+                    live += 1;
+                    peak = peak.max(model.len());
+                }
+                QueueStep::Pop => {
+                    skip_cancelled(&mut model);
+                    let expect = model.pop_first().map(|((at, _), (v, _))| (at, v));
+                    if expect.is_some() {
+                        live -= 1;
+                    }
+                    prop_assert_eq!(q.pop(), expect);
+                }
+                QueueStep::Peek => {
+                    skip_cancelled(&mut model);
+                    let expect = model.first_key_value().map(|(&(at, _), _)| at);
+                    prop_assert_eq!(q.peek_time(), expect);
+                }
+                QueueStep::Cancel(ix) => {
+                    if issued.is_empty() {
+                        continue;
+                    }
+                    let (id, key) = issued[ix.index(issued.len())];
+                    if let Some((_, cancelled)) = model.get_mut(&key) {
+                        if !*cancelled {
+                            *cancelled = true;
+                            live -= 1;
+                        }
+                    }
+                    q.cancel(id);
+                }
+            }
+            prop_assert_eq!(q.len(), live);
+            prop_assert!(q.slot_capacity() <= peak,
+                "slot table {} > peak occupancy {}", q.slot_capacity(), peak);
+        }
+        // Drain: the remaining live events come out in reference order.
+        skip_cancelled(&mut model);
+        let rest: Vec<_> = model
+            .into_iter()
+            .filter(|(_, (_, cancelled))| !cancelled)
+            .map(|((at, _), (v, _))| (at, v))
+            .collect();
+        let mut drained = Vec::new();
+        while let Some(ev) = q.pop() {
+            drained.push(ev);
+        }
+        prop_assert_eq!(drained, rest);
+        prop_assert!(q.is_empty());
     }
 
     /// Work conservation: after arbitrary arrivals and settlements, the total

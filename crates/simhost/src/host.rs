@@ -14,7 +14,6 @@ use crate::loadavg::LoadAvg;
 use crate::mem::{MemUse, Memory, OutOfMemory};
 use crate::procs::{ProcEntry, ProcState, ProcTable};
 use ars_simcore::{JobId, SharedResource, SimTime};
-use std::collections::HashMap;
 
 /// Index of a host within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,7 +79,9 @@ pub struct Host {
     mem: Memory,
     disks: DiskSet,
     procs: ProcTable,
-    files: HashMap<String, String>,
+    /// `(path, content)` pairs, one per migration handing off through this
+    /// host: a few at most, so a flat vector searched linearly.
+    files: Vec<(String, String)>,
 }
 
 impl Host {
@@ -93,7 +94,7 @@ impl Host {
             mem: Memory::new(config.mem_kb, config.swap_kb),
             disks: DiskSet::new(config.mounts.clone()),
             procs: ProcTable::new(),
-            files: HashMap::new(),
+            files: Vec::new(),
             config,
         }
     }
@@ -200,12 +201,10 @@ impl Host {
 
     // --- Process table -----------------------------------------------------
 
-    /// Register a process with the host `ps` table.
+    /// Register a process with the host `ps` table. It starts with no
+    /// memory reserved; callers set that with [`Host::mem_reserve`].
     pub fn proc_add(&mut self, entry: ProcEntry) {
-        let pid = entry.pid;
         self.procs.add(entry);
-        // New processes start with no memory reserved; callers set it.
-        let _ = pid;
     }
 
     /// Remove a process from the table (releasing its memory).
@@ -226,19 +225,29 @@ impl Host {
 
     // --- Files (commander <-> migrating process handoff) --------------------
 
+    fn file_index(&self, path: &str) -> Option<usize> {
+        self.files.iter().position(|(p, _)| p == path)
+    }
+
     /// Write a host-local file (overwrites).
     pub fn write_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
-        self.files.insert(path.into(), content.into());
+        let path = path.into();
+        let content = content.into();
+        match self.file_index(&path) {
+            Some(i) => self.files[i].1 = content,
+            None => self.files.push((path, content)),
+        }
     }
 
     /// Read a host-local file.
     pub fn read_file(&self, path: &str) -> Option<&str> {
-        self.files.get(path).map(String::as_str)
+        self.file_index(path).map(|i| self.files[i].1.as_str())
     }
 
     /// Remove a host-local file; returns its content if it existed.
     pub fn remove_file(&mut self, path: &str) -> Option<String> {
-        self.files.remove(path)
+        let i = self.file_index(path)?;
+        Some(self.files.swap_remove(i).1)
     }
 }
 

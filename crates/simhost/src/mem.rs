@@ -4,8 +4,6 @@
 //! available memory for both virtual and physical memory" (§3.1), so the host
 //! tracks per-process resident and virtual reservations against fixed totals.
 
-use std::collections::HashMap;
-
 /// Per-process memory reservation in kilobytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemUse {
@@ -20,7 +18,9 @@ pub struct MemUse {
 pub struct Memory {
     phys_total_kb: u64,
     swap_total_kb: u64,
-    by_owner: HashMap<u64, MemUse>,
+    /// Reservations by owner pid: a few per host, so a flat vector searched
+    /// linearly (a hash table would cost ~200 B per host for ~5 entries).
+    by_owner: Vec<(u64, MemUse)>,
     rss_used_kb: u64,
     vsz_used_kb: u64,
 }
@@ -40,7 +40,7 @@ impl Memory {
         Memory {
             phys_total_kb,
             swap_total_kb,
-            by_owner: HashMap::new(),
+            by_owner: Vec::new(),
             rss_used_kb: 0,
             vsz_used_kb: 0,
         }
@@ -71,9 +71,14 @@ impl Memory {
         self.virt_avail_kb() as f64 / (self.phys_total_kb + self.swap_total_kb) as f64
     }
 
+    fn position(&self, owner: u64) -> Option<usize> {
+        self.by_owner.iter().position(|&(o, _)| o == owner)
+    }
+
     /// Reservation of one owner (keyed by pid).
     pub fn usage_of(&self, owner: u64) -> MemUse {
-        self.by_owner.get(&owner).copied().unwrap_or_default()
+        self.position(owner)
+            .map_or_else(MemUse::default, |i| self.by_owner[i].1)
     }
 
     /// Set the reservation for `owner`, replacing any previous one.
@@ -82,7 +87,8 @@ impl Memory {
     /// clamped by paging (rss capped at what fits) like a real VM subsystem.
     pub fn reserve(&mut self, owner: u64, mut use_: MemUse) -> Result<(), OutOfMemory> {
         use_.vsz_kb = use_.vsz_kb.max(use_.rss_kb);
-        let prev = self.usage_of(owner);
+        let slot = self.position(owner);
+        let prev = slot.map_or_else(MemUse::default, |i| self.by_owner[i].1);
         let new_vsz = self.vsz_used_kb - prev.vsz_kb + use_.vsz_kb;
         let virt_total = self.phys_total_kb + self.swap_total_kb;
         if new_vsz > virt_total {
@@ -97,13 +103,17 @@ impl Memory {
         use_.rss_kb = use_.rss_kb.min(phys_free);
         self.rss_used_kb = self.rss_used_kb - prev.rss_kb + use_.rss_kb;
         self.vsz_used_kb = new_vsz;
-        self.by_owner.insert(owner, use_);
+        match slot {
+            Some(i) => self.by_owner[i].1 = use_,
+            None => self.by_owner.push((owner, use_)),
+        }
         Ok(())
     }
 
     /// Release everything owned by `owner`.
     pub fn release(&mut self, owner: u64) {
-        if let Some(prev) = self.by_owner.remove(&owner) {
+        if let Some(i) = self.position(owner) {
+            let (_, prev) = self.by_owner.swap_remove(i);
             self.rss_used_kb -= prev.rss_kb;
             self.vsz_used_kb -= prev.vsz_kb;
         }

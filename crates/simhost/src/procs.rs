@@ -6,7 +6,6 @@
 //! read this table.
 
 use ars_simcore::SimTime;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Scheduling state of a process as seen by `ps`.
@@ -33,10 +32,11 @@ pub struct ProcEntry {
     pub migratable: bool,
 }
 
-/// The process table of one host.
+/// The process table of one host: a handful of rows, kept sorted by pid in
+/// one flat vector (heartbeat process lists depend on that order).
 #[derive(Debug, Clone, Default)]
 pub struct ProcTable {
-    entries: BTreeMap<u64, ProcEntry>,
+    entries: Vec<ProcEntry>,
 }
 
 impl ProcTable {
@@ -45,25 +45,33 @@ impl ProcTable {
         Self::default()
     }
 
+    fn find(&self, pid: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&pid, |e| e.pid)
+    }
+
     /// Add a process. Replaces any stale entry with the same pid.
     pub fn add(&mut self, entry: ProcEntry) {
-        self.entries.insert(entry.pid, entry);
+        match self.find(entry.pid) {
+            Ok(i) => self.entries[i] = entry,
+            Err(i) => self.entries.insert(i, entry),
+        }
     }
 
     /// Remove a process; returns the removed entry if present.
     pub fn remove(&mut self, pid: u64) -> Option<ProcEntry> {
-        self.entries.remove(&pid)
+        let i = self.find(pid).ok()?;
+        Some(self.entries.remove(i))
     }
 
     /// Look up a process.
     pub fn get(&self, pid: u64) -> Option<&ProcEntry> {
-        self.entries.get(&pid)
+        self.find(pid).ok().map(|i| &self.entries[i])
     }
 
     /// Update the scheduling state of a process (no-op for unknown pids).
     pub fn set_state(&mut self, pid: u64, state: ProcState) {
-        if let Some(e) = self.entries.get_mut(&pid) {
-            e.state = state;
+        if let Ok(i) = self.find(pid) {
+            self.entries[i].state = state;
         }
     }
 
@@ -80,19 +88,19 @@ impl ProcTable {
     /// Number of runnable processes.
     pub fn runnable(&self) -> usize {
         self.entries
-            .values()
+            .iter()
             .filter(|e| e.state == ProcState::Runnable)
             .count()
     }
 
     /// Iterate over all entries in pid order.
     pub fn iter(&self) -> impl Iterator<Item = &ProcEntry> {
-        self.entries.values()
+        self.entries.iter()
     }
 
     /// Migration-enabled processes, in pid order.
     pub fn migratable(&self) -> Vec<&ProcEntry> {
-        self.entries.values().filter(|e| e.migratable).collect()
+        self.entries.iter().filter(|e| e.migratable).collect()
     }
 }
 
@@ -151,6 +159,58 @@ mod tests {
         let mut t = ProcTable::new();
         t.set_state(9, ProcState::Sleeping);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn order_matches_a_btreemap_reference() {
+        let mut sleeper = entry(9, false, 99);
+        sleeper.state = ProcState::Sleeping;
+        // Out-of-pid-order adds, removes (one of an unknown pid), a re-add
+        // of a removed pid, and a re-add of a live pid that must replace it.
+        let script = [
+            Some(entry(9, true, 9)),
+            Some(entry(3, false, 3)),
+            Some(entry(14, true, 14)),
+            Some(entry(1, true, 1)),
+            Some(entry(7, false, 7)),
+            None,
+            Some(sleeper),
+            Some(entry(5, true, 5)),
+            None,
+            Some(entry(3, true, 30)),
+            Some(entry(11, true, 11)),
+        ];
+        let removals = [vec![3, 14, 42], vec![1]];
+        let mut t = ProcTable::new();
+        let mut reference = std::collections::BTreeMap::new();
+        let mut removals = removals.iter();
+        for step in script {
+            match step {
+                Some(e) => {
+                    reference.insert(e.pid, e.clone());
+                    t.add(e);
+                }
+                None => {
+                    for &pid in removals.next().unwrap() {
+                        assert_eq!(t.remove(pid).is_some(), reference.remove(&pid).is_some());
+                    }
+                }
+            }
+        }
+        let pids = |rows: Vec<&ProcEntry>| rows.iter().map(|e| e.pid).collect::<Vec<_>>();
+        assert_eq!(pids(t.iter().collect()), pids(reference.values().collect()));
+        assert_eq!(
+            pids(t.migratable()),
+            pids(reference.values().filter(|e| e.migratable).collect())
+        );
+        let runnable = reference
+            .values()
+            .filter(|e| e.state == ProcState::Runnable)
+            .count();
+        assert_eq!(t.runnable(), runnable);
+        assert_eq!(t.len(), reference.len());
+        assert_eq!(t.get(9).unwrap().start_time, SimTime::from_secs(99));
+        assert_eq!(t.get(3).unwrap().start_time, SimTime::from_secs(30));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! ```
 
 use ars::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // ws0 runs the registries; ws1-ws2 = domain A, ws3-ws4 = domain B.
@@ -67,7 +68,7 @@ fn main() {
             Box::new(Monitor::new(
                 MonitorConfig {
                     registry,
-                    state_source: StateSource::Policy(Policy::paper_policy2()),
+                    state_source: StateSource::Policy(Arc::new(Policy::paper_policy2())),
                     freq: MonitoringFrequency::default(),
                     ambient: ambient.clone(),
                     overload_confirm: SimDuration::from_secs(40),

@@ -42,6 +42,12 @@ echo "== checkpoint codec matrix =="
 # reader fuzz properties past the default-case pass above.
 PROPTEST_CASES=2000 cargo test --release -q -p ars-hpcm --test properties
 
+echo "== event queue model check =="
+# Widens the queue-vs-reference-map property (random push / pop / peek /
+# cancel interleavings, stale cancels of recycled slots, bounded slot table)
+# past the default-case pass above.
+PROPTEST_CASES=2000 cargo test --release -q -p ars-simcore --test properties
+
 echo "== wire smoke (256 conns per codec) =="
 # One small live-registry load cell per codec: asserts liveness and sane
 # latency-sample counts, not codec ordering (CI boxes cannot promise
