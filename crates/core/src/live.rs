@@ -502,6 +502,9 @@ impl Reactor {
 
     /// Read every readable socket, decode complete frames, and feed the
     /// decoded batch through the core. Returns true if any bytes moved.
+    /// A connection is read until a `read` returns fewer bytes than the
+    /// buffer holds (one `read` per heartbeat-sized arrival), or would
+    /// block.
     fn drain_readable(&mut self, rbuf: &mut [u8]) -> bool {
         let mut any = false;
         // Decoded batch for this tick: (conn, decode result). Processing
@@ -555,6 +558,12 @@ impl Reactor {
                                     codec: codec.name().to_string(),
                                 });
                             }
+                        }
+                        // A short read drained the socket: another `read`
+                        // would only return `WouldBlock`. Whatever arrives
+                        // meanwhile is read on the next tick.
+                        if n < rbuf.len() {
+                            break;
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,

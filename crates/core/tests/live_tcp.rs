@@ -291,6 +291,48 @@ fn an_oversized_frame_disconnects_the_peer() {
     registry.shutdown();
 }
 
+/// A host name holding a line break (sent as `&#10;`) comes back in the
+/// registry's NACK and `ReRegister`: each reply must stay one frame, and the
+/// registry must keep serving. Unescaped, the break used to split both
+/// replies into four broken lines (and kill the reactor thread in a debug
+/// build).
+#[test]
+fn a_line_break_in_a_host_name_cannot_split_a_reply_frame() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let registry = LiveRegistry::start().expect("bind");
+    let mut raw = std::net::TcpStream::connect(registry.addr()).unwrap();
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    raw.write_all(
+        b"<?xml version=\"1.0\" encoding=\"US-ASCII\"?><msg type=\"heartbeat\">\
+          <host>a&#10;b</host><state>free</state><metrics/><procs/></msg>\n",
+    )
+    .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut next_reply = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a reply frame");
+        Message::decode(line.strip_suffix('\n').expect("a whole line"))
+            .unwrap_or_else(|e| panic!("{line:?} is not one frame: {e}"))
+    };
+    match next_reply() {
+        Message::Ack { ok: false, info } => assert!(info.starts_with("a\nb "), "{info:?}"),
+        other => panic!("expected a NACK, got {other:?}"),
+    }
+    assert_eq!(
+        next_reply(),
+        Message::ReRegister {
+            host: "a\nb".to_string()
+        }
+    );
+
+    let mut second = LiveClient::connect(registry.addr()).unwrap();
+    register(&mut second, "ws2");
+    heartbeat(&mut second, "ws2", HostState::Free);
+    registry.shutdown();
+}
+
 #[test]
 fn heartbeat_before_registration_is_rejected() {
     let registry = LiveRegistry::start().expect("bind");

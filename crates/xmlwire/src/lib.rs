@@ -4,14 +4,21 @@
 //! schema* carried with every migration-enabled process ([`schema`]), and
 //! the monitor ↔ registry/scheduler ↔ commander message set ([`msg`]).
 //!
-//! One streaming writer defines the XML form, with two sinks:
+//! One streaming writer defines the XML form, with three sinks:
 //!
 //! * over real TCP sockets in the `live` mode of `ars-rescheduler`, it
-//!   builds the document ([`Message::to_document`]) that goes on the wire;
+//!   writes the document straight into a connection's write buffer
+//!   ([`encode_frame_into`]), or builds it as a string
+//!   ([`Message::to_document`]);
 //! * inside the cluster simulation, messages travel as typed values and the
 //!   writer only counts ([`Message::xml_len`]), so the simulated network
 //!   and the communication-overhead figures charge each message exactly its
 //!   document's size without encoding or parsing it.
+//!
+//! One pull lexer reads the XML form. [`Message::decode`] fills a message
+//! from its events directly, with no tree in between; [`parse`] builds the
+//! [`XmlElement`] tree on the same events for the documents read once —
+//! rule sets and application schemas.
 
 #![warn(missing_docs)]
 

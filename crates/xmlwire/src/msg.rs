@@ -11,9 +11,10 @@
 //! and charges it [`Message::xml_len`] bytes — the same writer counting
 //! instead of building — so its byte counts are the document's, exactly.
 
-use crate::doc::{
-    document, document_len, parse, WriteXml, XmlElement, XmlError, XmlSink, XmlWriter,
-};
+use std::borrow::Cow;
+use std::str::FromStr;
+
+use crate::doc::{document, document_len, Reader, Tag, WriteXml, XmlError, XmlSink, XmlWriter};
 use crate::schema::{ApplicationSchema, ResourceRequirements};
 
 /// Host state vocabulary of the protocol (paper Table 1, plus the
@@ -320,177 +321,323 @@ impl Message {
         document_len(self)
     }
 
-    /// Parse a wire document.
+    /// Parse a wire document. One pass of the pull reader fills the
+    /// message; the only tree built is a migration command's
+    /// `<application-schema>`. Children and attributes may come in any
+    /// order, the first occurrence of a field wins, unknown elements are
+    /// skipped, and the whole document is checked for well-formedness.
     pub fn decode(doc: &str) -> Result<Message, XmlError> {
-        let el = parse(doc)?;
-        Self::from_xml(&el)
-    }
-
-    /// Parse the XML element form.
-    pub fn from_xml(el: &XmlElement) -> Result<Message, XmlError> {
-        if el.name != "msg" {
-            return Err(XmlError::UnexpectedRoot(el.name.clone()));
+        let mut r = Reader::new(doc);
+        let root = r.root()?;
+        if root.name != "msg" {
+            return Err(XmlError::UnexpectedRoot(root.name.to_string()));
         }
-        let ty = el
-            .get_attr("type")
-            .ok_or_else(|| XmlError::MissingField("type".to_string()))?;
-        match ty {
+        let ty = root.attr("type")?.ok_or_else(|| missing("type"))?;
+        let msg = match &*ty {
             "register" => {
-                let role_text = el.get_attr("role").unwrap_or("monitor");
+                let role_text = root.attr("role")?;
+                let role_text = role_text.as_deref().unwrap_or("monitor");
                 let role = EntityRole::parse(role_text)
                     .ok_or_else(|| XmlError::BadField("role".to_string(), role_text.to_string()))?;
-                let h = el
-                    .find("host")
-                    .ok_or_else(|| XmlError::MissingField("host".to_string()))?;
-                Ok(Message::Register {
+                let mut host = None;
+                r.children(|r, tag| match tag.name {
+                    "host" if host.is_none() => {
+                        host = Some(host_static(r, tag)?);
+                        Ok(())
+                    }
+                    _ => r.skip(),
+                })?;
+                Message::Register {
                     role,
-                    host: HostStatic {
-                        name: h
-                            .get_attr("name")
-                            .ok_or_else(|| XmlError::MissingField("name".to_string()))?
-                            .to_string(),
-                        ip: h
-                            .field_text("ip")
-                            .ok_or_else(|| XmlError::MissingField("ip".to_string()))?,
-                        os: h
-                            .field_text("os")
-                            .ok_or_else(|| XmlError::MissingField("os".to_string()))?,
-                        cpu_speed: h.field_parse("cpu-speed")?,
-                        n_cpus: h.field_parse("n-cpus")?,
-                        mem_kb: h.field_parse("mem-kb")?,
-                    },
-                })
+                    host: required(host, "host")?,
+                }
             }
             "heartbeat" => {
-                let state_text = el
-                    .field_text("state")
-                    .ok_or_else(|| XmlError::MissingField("state".to_string()))?;
-                let state = HostState::parse(&state_text)
-                    .ok_or_else(|| XmlError::BadField("state".to_string(), state_text))?;
-                let mut metrics = Metrics::new();
-                if let Some(m) = el.find("metrics") {
-                    for metric in m.find_all("metric") {
-                        let name = metric
-                            .get_attr("name")
-                            .ok_or_else(|| XmlError::MissingField("metric name".to_string()))?;
-                        let text = metric.text_str().map_or_else(
-                            || std::borrow::Cow::Owned(metric.text_content()),
-                            std::borrow::Cow::Borrowed,
-                        );
-                        let value: f64 = text
-                            .trim()
-                            .parse()
-                            .map_err(|_| XmlError::BadField(name.to_string(), text.to_string()))?;
-                        metrics.set(name, value);
+                let (mut host, mut state, mut metrics, mut procs) = (None, None, None, None);
+                r.children(|r, tag| match tag.name {
+                    "host" => r.first_text(&mut host, string),
+                    "state" => r.first_text(&mut state, |text| {
+                        HostState::parse(&text)
+                            .ok_or_else(|| XmlError::BadField("state".to_string(), text.into()))
+                    }),
+                    "metrics" if metrics.is_none() => {
+                        metrics = Some(metric_bag(r)?);
+                        Ok(())
                     }
-                }
-                let mut procs = Vec::new();
-                if let Some(ps) = el.find("procs") {
-                    for p in ps.find_all("proc") {
-                        procs.push(ProcReport {
-                            pid: attr_parse(p, "pid")?,
-                            app: p
-                                .get_attr("app")
-                                .ok_or_else(|| XmlError::MissingField("app".to_string()))?
-                                .to_string(),
-                            start_time_s: attr_parse(p, "start")?,
-                            est_exec_time_s: attr_parse(p, "est")?,
-                        });
+                    "procs" if procs.is_none() => {
+                        procs = Some(proc_table(r)?);
+                        Ok(())
                     }
+                    _ => r.skip(),
+                })?;
+                Message::Heartbeat {
+                    host: required(host, "host")?,
+                    state: required(state, "state")?,
+                    metrics: metrics.unwrap_or_default(),
+                    procs: procs.unwrap_or_default(),
                 }
-                Ok(Message::Heartbeat {
-                    host: el
-                        .field_text("host")
-                        .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-                    state,
-                    metrics,
-                    procs,
-                })
             }
             "migration-command" => {
-                let schema_el = el
-                    .find("application-schema")
-                    .ok_or_else(|| XmlError::MissingField("application-schema".to_string()))?;
-                Ok(Message::MigrationCommand {
-                    host: el
-                        .field_text("host")
-                        .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-                    pid: el.field_parse("pid")?,
-                    dest: el
-                        .field_text("dest")
-                        .ok_or_else(|| XmlError::MissingField("dest".to_string()))?,
-                    dest_port: el.field_parse("dest-port")?,
-                    schema: ApplicationSchema::from_xml(schema_el)?,
-                })
+                let (mut host, mut pid, mut dest, mut dest_port) = (None, None, None, None);
+                let mut schema = None;
+                r.children(|r, tag| match tag.name {
+                    "host" => r.first_text(&mut host, string),
+                    "pid" => r.first_text(&mut pid, number("pid")),
+                    "dest" => r.first_text(&mut dest, string),
+                    "dest-port" => r.first_text(&mut dest_port, number("dest-port")),
+                    "application-schema" if schema.is_none() => {
+                        schema = Some(ApplicationSchema::from_xml(&r.element(tag)?)?);
+                        Ok(())
+                    }
+                    _ => r.skip(),
+                })?;
+                Message::MigrationCommand {
+                    host: required(host, "host")?,
+                    pid: required(pid, "pid")?,
+                    dest: required(dest, "dest")?,
+                    dest_port: required(dest_port, "dest-port")?,
+                    schema: required(schema, "application-schema")?,
+                }
             }
             "candidate-request" => {
-                let req = el
-                    .find("requirements")
-                    .ok_or_else(|| XmlError::MissingField("requirements".to_string()))?;
-                Ok(Message::CandidateRequest {
-                    host: el
-                        .field_text("host")
-                        .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-                    requirements: ResourceRequirements {
-                        mem_kb: req.field_parse("mem-kb")?,
-                        disk_kb: req.field_parse("disk-kb")?,
-                        min_cpu_speed: req.field_parse("min-cpu-speed")?,
-                    },
-                })
+                let (mut host, mut requirements) = (None, None);
+                r.children(|r, tag| match tag.name {
+                    "host" => r.first_text(&mut host, string),
+                    "requirements" if requirements.is_none() => {
+                        requirements = Some(resource_requirements(r)?);
+                        Ok(())
+                    }
+                    _ => r.skip(),
+                })?;
+                Message::CandidateRequest {
+                    host: required(host, "host")?,
+                    requirements: required(requirements, "requirements")?,
+                }
             }
-            "candidate-reply" => Ok(Message::CandidateReply {
-                dest: el.field_text("dest"),
-            }),
-            "migration-complete" => Ok(Message::MigrationComplete {
-                pid: el.field_parse("pid")?,
-                from: el
-                    .field_text("from")
-                    .ok_or_else(|| XmlError::MissingField("from".to_string()))?,
-                to: el
-                    .field_text("to")
-                    .ok_or_else(|| XmlError::MissingField("to".to_string()))?,
-                migration_time_s: el.field_parse("migration-time-s")?,
-            }),
-            "status-query" => Ok(Message::StatusQuery {
-                host: el
-                    .field_text("host")
-                    .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-            }),
-            "command-ack" => Ok(Message::CommandAck {
-                host: el
-                    .field_text("host")
-                    .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-                pid: el.field_parse("pid")?,
-                ok: el.field_parse("ok")?,
-            }),
-            "re-register" => Ok(Message::ReRegister {
-                host: el
-                    .field_text("host")
-                    .ok_or_else(|| XmlError::MissingField("host".to_string()))?,
-            }),
+            "candidate-reply" => {
+                let mut dest = None;
+                r.children(|r, tag| match tag.name {
+                    "dest" => r.first_text(&mut dest, string),
+                    _ => r.skip(),
+                })?;
+                Message::CandidateReply { dest }
+            }
+            "migration-complete" => {
+                let (mut pid, mut from, mut to, mut time) = (None, None, None, None);
+                r.children(|r, tag| match tag.name {
+                    "pid" => r.first_text(&mut pid, number("pid")),
+                    "from" => r.first_text(&mut from, string),
+                    "to" => r.first_text(&mut to, string),
+                    "migration-time-s" => r.first_text(&mut time, number("migration-time-s")),
+                    _ => r.skip(),
+                })?;
+                Message::MigrationComplete {
+                    pid: required(pid, "pid")?,
+                    from: required(from, "from")?,
+                    to: required(to, "to")?,
+                    migration_time_s: required(time, "migration-time-s")?,
+                }
+            }
+            "status-query" => Message::StatusQuery {
+                host: host_only(&mut r)?,
+            },
+            "re-register" => Message::ReRegister {
+                host: host_only(&mut r)?,
+            },
+            "command-ack" => {
+                let (mut host, mut pid, mut ok) = (None, None, None);
+                r.children(|r, tag| match tag.name {
+                    "host" => r.first_text(&mut host, string),
+                    "pid" => r.first_text(&mut pid, number("pid")),
+                    "ok" => r.first_text(&mut ok, number("ok")),
+                    _ => r.skip(),
+                })?;
+                Message::CommandAck {
+                    host: required(host, "host")?,
+                    pid: required(pid, "pid")?,
+                    ok: required(ok, "ok")?,
+                }
+            }
             "domain-report" => {
-                let h = el
-                    .find("health")
-                    .ok_or_else(|| XmlError::MissingField("health".to_string()))?;
-                Ok(Message::DomainReport {
-                    domain: el
-                        .field_text("domain")
-                        .ok_or_else(|| XmlError::MissingField("domain".to_string()))?,
-                    free: h.field_parse("free")?,
-                    busy: h.field_parse("busy")?,
-                    overloaded: h.field_parse("overloaded")?,
-                    unavailable: h.field_parse("unavailable")?,
-                    load_sum: h.field_parse("load-sum")?,
-                    load_samples: h.field_parse("load-samples")?,
-                })
+                let (mut domain, mut health) = (None, None);
+                r.children(|r, tag| match tag.name {
+                    "domain" => r.first_text(&mut domain, string),
+                    "health" if health.is_none() => {
+                        health = Some(domain_health(r)?);
+                        Ok(())
+                    }
+                    _ => r.skip(),
+                })?;
+                let (free, busy, overloaded, unavailable, load_sum, load_samples) =
+                    required(health, "health")?;
+                Message::DomainReport {
+                    domain: required(domain, "domain")?,
+                    free,
+                    busy,
+                    overloaded,
+                    unavailable,
+                    load_sum,
+                    load_samples,
+                }
             }
-            "ack" => Ok(Message::Ack {
-                ok: el.field_parse("ok")?,
-                info: el.field_text("info").unwrap_or_default(),
-            }),
-            other => Err(XmlError::BadField("type".to_string(), other.to_string())),
-        }
+            "ack" => {
+                let (mut ok, mut info) = (None, None);
+                r.children(|r, tag| match tag.name {
+                    "ok" => r.first_text(&mut ok, number("ok")),
+                    "info" => r.first_text(&mut info, string),
+                    _ => r.skip(),
+                })?;
+                Message::Ack {
+                    ok: required(ok, "ok")?,
+                    info: info.unwrap_or_default(),
+                }
+            }
+            other => return Err(XmlError::BadField("type".to_string(), other.to_string())),
+        };
+        r.finish()?;
+        Ok(msg)
     }
+}
+
+// --- decoding helpers (the reader sits just after the element's start tag) ---
+
+fn missing(name: &str) -> XmlError {
+    XmlError::MissingField(name.to_string())
+}
+
+fn required<T>(slot: Option<T>, name: &str) -> Result<T, XmlError> {
+    slot.ok_or_else(|| missing(name))
+}
+
+/// A text field kept as a string.
+fn string(text: Cow<'_, str>) -> Result<String, XmlError> {
+    Ok(text.into_owned())
+}
+
+/// A text field parsed as `T` after trimming, like
+/// [`XmlElement::field_parse`](crate::XmlElement::field_parse).
+fn number<T: FromStr>(name: &'static str) -> impl FnOnce(Cow<'_, str>) -> Result<T, XmlError> {
+    move |text| {
+        text.trim()
+            .parse()
+            .map_err(|_| XmlError::BadField(name.to_string(), text.into_owned()))
+    }
+}
+
+/// An attribute parsed as `T` (not trimmed).
+fn attr_number<T: FromStr>(tag: &Tag<'_>, key: &str) -> Result<T, XmlError> {
+    let raw = tag.attr(key)?.ok_or_else(|| missing(key))?;
+    raw.parse()
+        .map_err(|_| XmlError::BadField(key.to_string(), raw.into_owned()))
+}
+
+/// The `<host>` field of a message whose only field it is.
+fn host_only(r: &mut Reader<'_>) -> Result<String, XmlError> {
+    let mut host = None;
+    r.children(|r, tag| match tag.name {
+        "host" => r.first_text(&mut host, string),
+        _ => r.skip(),
+    })?;
+    required(host, "host")
+}
+
+/// `<host name="…">` of a register message.
+fn host_static(r: &mut Reader<'_>, tag: Tag<'_>) -> Result<HostStatic, XmlError> {
+    let name = tag.attr("name")?.ok_or_else(|| missing("name"))?;
+    let (mut ip, mut os, mut cpu_speed, mut n_cpus, mut mem_kb) = (None, None, None, None, None);
+    r.children(|r, tag| match tag.name {
+        "ip" => r.first_text(&mut ip, string),
+        "os" => r.first_text(&mut os, string),
+        "cpu-speed" => r.first_text(&mut cpu_speed, number("cpu-speed")),
+        "n-cpus" => r.first_text(&mut n_cpus, number("n-cpus")),
+        "mem-kb" => r.first_text(&mut mem_kb, number("mem-kb")),
+        _ => r.skip(),
+    })?;
+    Ok(HostStatic {
+        name: name.into_owned(),
+        ip: required(ip, "ip")?,
+        os: required(os, "os")?,
+        cpu_speed: required(cpu_speed, "cpu-speed")?,
+        n_cpus: required(n_cpus, "n-cpus")?,
+        mem_kb: required(mem_kb, "mem-kb")?,
+    })
+}
+
+/// `<metrics>`: every `<metric name="…">value</metric>` in order; a
+/// repeated name replaces the earlier value.
+fn metric_bag(r: &mut Reader<'_>) -> Result<Metrics, XmlError> {
+    let mut metrics = Metrics::new();
+    r.children(|r, tag| {
+        if tag.name != "metric" {
+            return r.skip();
+        }
+        let name = tag.attr("name")?.ok_or_else(|| missing("metric name"))?;
+        let text = r.text()?;
+        let value: f64 = text
+            .trim()
+            .parse()
+            .map_err(|_| XmlError::BadField(name.to_string(), text.into_owned()))?;
+        metrics.set(name, value);
+        Ok(())
+    })?;
+    Ok(metrics)
+}
+
+/// `<procs>`: every `<proc pid app start est/>` in order.
+fn proc_table(r: &mut Reader<'_>) -> Result<Vec<ProcReport>, XmlError> {
+    let mut procs = Vec::new();
+    r.children(|r, tag| {
+        if tag.name == "proc" {
+            procs.push(ProcReport {
+                pid: attr_number(&tag, "pid")?,
+                app: tag.attr("app")?.ok_or_else(|| missing("app"))?.into_owned(),
+                start_time_s: attr_number(&tag, "start")?,
+                est_exec_time_s: attr_number(&tag, "est")?,
+            });
+        }
+        r.skip()
+    })?;
+    Ok(procs)
+}
+
+/// `<health>` of a domain report: free, busy, overloaded, unavailable,
+/// load sum, load samples.
+fn domain_health(r: &mut Reader<'_>) -> Result<(u32, u32, u32, u32, f64, u32), XmlError> {
+    let (mut free, mut busy, mut overloaded, mut unavailable) = (None, None, None, None);
+    let (mut load_sum, mut load_samples) = (None, None);
+    r.children(|r, tag| match tag.name {
+        "free" => r.first_text(&mut free, number("free")),
+        "busy" => r.first_text(&mut busy, number("busy")),
+        "overloaded" => r.first_text(&mut overloaded, number("overloaded")),
+        "unavailable" => r.first_text(&mut unavailable, number("unavailable")),
+        "load-sum" => r.first_text(&mut load_sum, number("load-sum")),
+        "load-samples" => r.first_text(&mut load_samples, number("load-samples")),
+        _ => r.skip(),
+    })?;
+    Ok((
+        required(free, "free")?,
+        required(busy, "busy")?,
+        required(overloaded, "overloaded")?,
+        required(unavailable, "unavailable")?,
+        required(load_sum, "load-sum")?,
+        required(load_samples, "load-samples")?,
+    ))
+}
+
+/// `<requirements>` of a candidate request.
+fn resource_requirements(r: &mut Reader<'_>) -> Result<ResourceRequirements, XmlError> {
+    let (mut mem_kb, mut disk_kb, mut min_cpu_speed) = (None, None, None);
+    r.children(|r, tag| match tag.name {
+        "mem-kb" => r.first_text(&mut mem_kb, number("mem-kb")),
+        "disk-kb" => r.first_text(&mut disk_kb, number("disk-kb")),
+        "min-cpu-speed" => r.first_text(&mut min_cpu_speed, number("min-cpu-speed")),
+        _ => r.skip(),
+    })?;
+    Ok(ResourceRequirements {
+        mem_kb: required(mem_kb, "mem-kb")?,
+        disk_kb: required(disk_kb, "disk-kb")?,
+        min_cpu_speed: required(min_cpu_speed, "min-cpu-speed")?,
+    })
 }
 
 /// The message format: the only definition of what a `<msg>` looks like.
@@ -619,14 +766,6 @@ impl WriteXml for Message {
         }
         w.close("msg");
     }
-}
-
-fn attr_parse<T: std::str::FromStr>(el: &XmlElement, key: &str) -> Result<T, XmlError> {
-    let raw = el
-        .get_attr(key)
-        .ok_or_else(|| XmlError::MissingField(key.to_string()))?;
-    raw.parse()
-        .map_err(|_| XmlError::BadField(key.to_string(), raw.to_string()))
 }
 
 #[cfg(test)]
@@ -780,6 +919,43 @@ mod tests {
         assert!(HostState::Overloaded.is_loaded());
         assert!(!HostState::Overloaded.accepts_migration());
         assert!(HostState::Overloaded.wants_migration_out());
+    }
+
+    #[test]
+    fn whitespace_only_strings_survive_the_codec() {
+        // A field's text is its element's sole content, so it is kept
+        // verbatim even when it is all whitespace.
+        roundtrip(Message::Ack {
+            ok: true,
+            info: " ".to_string(),
+        });
+        roundtrip(Message::StatusQuery {
+            host: "\t\r\n ".to_string(),
+        });
+    }
+
+    #[test]
+    fn fields_and_attributes_in_any_order_first_occurrence_wins() {
+        let doc = "<?xml version='1.0'?><!-- c --><msg type='command-ack'>\
+                   <ok>true</ok><x><pid>9</pid></x><pid> 12 </pid><host>a<!-- c -->b</host>\
+                   <pid>nan</pid><host>z</host></msg>";
+        assert_eq!(
+            Message::decode(doc).unwrap(),
+            Message::CommandAck {
+                host: "ab".to_string(),
+                pid: 12,
+                ok: true,
+            }
+        );
+        let doc = "<msg role='commander' type='register'><host name='ws1'><mem-kb>1</mem-kb>\
+                   <n-cpus>2</n-cpus><cpu-speed>1.5</cpu-speed><os>o</os><ip>i</ip></host></msg>";
+        assert!(matches!(
+            Message::decode(doc),
+            Ok(Message::Register {
+                role: EntityRole::Commander,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! frame bounded by [`MAX_FRAME_BYTES`] so a malformed or hostile peer
 //! cannot force unbounded buffering.
 
-use crate::doc::XmlError;
+use crate::doc::{document_into, find_byte, XmlError};
 use crate::msg::{EntityRole, HostState, HostStatic, Message, Metrics, ProcReport};
 use crate::schema::{AppCharacteristic, ApplicationSchema, ResourceRequirements};
 
@@ -144,15 +144,15 @@ impl From<XmlError> for WireError {
 /// Append one framed message in the given codec to `out`.
 ///
 /// XML frames are byte-identical to the historical wire format:
-/// `Message::to_document()` plus a trailing newline. Binary frames are
-/// `u32` little-endian payload length followed by the payload; the
-/// stream preamble is *not* included (see [`BIN_PREAMBLE`]).
+/// `Message::to_document()` plus a trailing newline, streamed straight into
+/// `out`. The document is one line whatever its strings hold — the writer
+/// escapes `\n` and `\r` — so the newline always ends the frame. Binary
+/// frames are `u32` little-endian payload length followed by the payload;
+/// the stream preamble is *not* included (see [`BIN_PREAMBLE`]).
 pub fn encode_frame_into(msg: &Message, codec: WireCodecKind, out: &mut Vec<u8>) {
     match codec {
         WireCodecKind::Xml => {
-            let doc = msg.to_document();
-            debug_assert!(!doc.contains('\n'), "documents are single-line");
-            out.extend_from_slice(doc.as_bytes());
+            document_into(msg, out);
             out.push(b'\n');
         }
         WireCodecKind::Binary => {
@@ -165,10 +165,12 @@ pub fn encode_frame_into(msg: &Message, codec: WireCodecKind, out: &mut Vec<u8>)
     }
 }
 
-/// One framed message in the given codec as a fresh buffer.
+/// One framed message in the given codec as a fresh buffer, no larger than
+/// the frame (callers keep such frames around for reuse).
 pub fn encode_frame(msg: &Message, codec: WireCodecKind) -> Vec<u8> {
     let mut out = Vec::new();
     encode_frame_into(msg, codec, &mut out);
+    out.shrink_to_fit();
     out
 }
 
@@ -584,8 +586,9 @@ enum ReaderState {
 /// [`next_frame`](Self::next_frame). Partial frames persist across
 /// pushes; a frame growing past the size cap, or an unrecognized stream
 /// preamble, is a *fatal* error ([`WireError::is_fatal`]) that poisons
-/// the reader — the connection must be dropped. Content errors inside an
-/// intact frame consume that frame and leave the reader at the next one.
+/// the reader — it drops what it buffered, ignores later bytes and fails
+/// every later call; the connection must be dropped. Content errors inside
+/// an intact frame consume that frame and leave the reader at the next one.
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
@@ -638,9 +641,12 @@ impl FrameReader {
         self.buf.len() - self.pos
     }
 
-    /// Append raw bytes read from the peer.
+    /// Append raw bytes read from the peer. A poisoned reader discards
+    /// them: its stream is no longer trusted, so it holds nothing more.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.state != ReaderState::Poisoned {
+            self.buf.extend_from_slice(bytes);
+        }
     }
 
     /// Decode the next complete frame, if one is buffered.
@@ -649,27 +655,34 @@ impl FrameReader {
     /// poisons the reader; a non-fatal `Err` consumed the offending
     /// frame and the reader stays usable.
     pub fn next_frame(&mut self) -> Result<Option<Message>, WireError> {
-        if self.state == ReaderState::Negotiating {
-            self.negotiate()?;
-        }
-        let result = match self.state {
-            // Still too few bytes to pick a codec.
-            ReaderState::Negotiating => return Ok(None),
-            ReaderState::Xml => self.next_xml(),
-            ReaderState::Binary => self.next_binary(),
-            ReaderState::Poisoned => Err(WireError::BadPreamble(0)),
-        };
-        if let Err(e) = &result {
-            if e.is_fatal() {
-                self.state = ReaderState::Poisoned;
-            }
+        let result = self.decode_next();
+        if matches!(&result, Err(e) if e.is_fatal()) {
+            // The stream is untrusted from here on: keep none of it.
+            self.state = ReaderState::Poisoned;
+            self.buf = Vec::new();
+            self.pos = 0;
+            self.scanned = 0;
         }
         self.compact();
         result
     }
 
+    fn decode_next(&mut self) -> Result<Option<Message>, WireError> {
+        if self.state == ReaderState::Negotiating {
+            self.negotiate()?;
+        }
+        match self.state {
+            // Still too few bytes to pick a codec.
+            ReaderState::Negotiating => Ok(None),
+            ReaderState::Xml => self.next_xml(),
+            ReaderState::Binary => self.next_binary(),
+            ReaderState::Poisoned => Err(WireError::BadPreamble(0)),
+        }
+    }
+
     /// Resolve the codec from the stream's first bytes. Leaves the state
-    /// `Negotiating` while more bytes are needed.
+    /// `Negotiating` while more bytes are needed; an unknown preamble is a
+    /// fatal error.
     fn negotiate(&mut self) -> Result<(), WireError> {
         let Some(&first) = self.buf.get(self.pos) else {
             return Ok(());
@@ -683,14 +696,12 @@ impl FrameReader {
                 return Ok(());
             }
             if self.buf[self.pos..self.pos + BIN_PREAMBLE.len()] != BIN_PREAMBLE {
-                self.state = ReaderState::Poisoned;
                 return Err(WireError::BadPreamble(first));
             }
             self.pos += BIN_PREAMBLE.len();
             self.state = ReaderState::Binary;
             return Ok(());
         }
-        self.state = ReaderState::Poisoned;
         Err(WireError::BadPreamble(first))
     }
 
@@ -698,7 +709,7 @@ impl FrameReader {
         // Resume the newline scan where the last call left off, so a
         // slow-trickling line costs O(line), not O(line²).
         let start = self.pos + self.scanned;
-        match self.buf[start..].iter().position(|&b| b == b'\n') {
+        match find_byte(&self.buf[start..], b'\n') {
             Some(i) => {
                 let end = start + i;
                 let line = &self.buf[self.pos..end];
@@ -803,6 +814,46 @@ mod tests {
         let mut expect = msg.to_document().into_bytes();
         expect.push(b'\n');
         assert_eq!(frame, expect);
+    }
+
+    #[test]
+    fn no_xml_frame_holds_an_inner_newline() {
+        let messages = [
+            Message::Ack {
+                ok: false,
+                info: "a\nb\r\nc\r".to_string(),
+            },
+            Message::ReRegister {
+                host: "\n".to_string(),
+            },
+            Message::Heartbeat {
+                host: "ws\n1".to_string(),
+                state: HostState::Free,
+                metrics: Metrics::new(),
+                procs: vec![ProcReport {
+                    pid: 1,
+                    app: "x\ny".to_string(),
+                    start_time_s: 0.0,
+                    est_exec_time_s: 1.0,
+                }],
+            },
+        ];
+        let mut stream = Vec::new();
+        for msg in &messages {
+            let frame = encode_frame(msg, WireCodecKind::Xml);
+            assert_eq!(
+                frame.iter().position(|&b| b == b'\n'),
+                Some(frame.len() - 1)
+            );
+            assert!(!frame.contains(&b'\r'));
+            stream.extend(frame);
+        }
+        let mut r = FrameReader::for_codec(WireCodecKind::Xml, MAX_FRAME_BYTES);
+        r.push(&stream);
+        for msg in messages {
+            assert_eq!(r.next_frame().unwrap(), Some(msg));
+        }
+        assert_eq!(r.buffered(), 0);
     }
 
     #[test]

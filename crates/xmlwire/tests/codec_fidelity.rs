@@ -1,7 +1,7 @@
 //! Cross-codec fidelity: the XML and binary codecs are two encodings of
 //! one message model, and neither may drift.
 //!
-//! Three gates:
+//! Four gates:
 //!
 //! * a **golden corpus** covering every [`Message`] variant round-trips
 //!   through both codecs and decodes to the same value either way;
@@ -11,7 +11,13 @@
 //! * a **proptest** over arbitrary messages pins the equivalence for
 //!   inputs nobody thought to put in the corpus — and that
 //!   `Message::xml_len` (the byte count the simulation charges) is the
-//!   document's length, for every float `Display` can print.
+//!   document's length, for every float `Display` can print;
+//! * a **differential** against the tree-walking decoder the pull reader
+//!   replaced ([`reference`]): on the golden corpus, arbitrary messages and
+//!   byte-edited documents of every variant, both decoders return the same
+//!   `Ok` message or both return `Err`.
+
+mod reference;
 
 use ars_xmlwire::wire::{
     decode_binary_payload, encode_frame, FrameReader, WireCodecKind, MAX_FRAME_BYTES,
@@ -225,10 +231,11 @@ fn frame_reader_replays_the_corpus_in_order_under_both_codecs() {
 
 // --- arbitrary messages -----------------------------------------------------
 
-/// ASCII text as the protocol actually carries (the XML writer escapes
-/// `<>&"` but the protocol is byte-oriented ASCII throughout).
+/// ASCII text as the protocol actually carries, line breaks and tabs
+/// included (the XML writer escapes `<>&"`, `\n` and `\r`; the protocol is
+/// byte-oriented ASCII throughout).
 fn text() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[ -~]{0,40}").expect("valid regex")
+    proptest::string::string_regex("[ -~\n\r\t]{0,40}").expect("valid regex")
 }
 
 fn name() -> impl Strategy<Value = String> {
@@ -456,5 +463,99 @@ proptest! {
             got = reader.next_frame().expect("clean stream");
         }
         prop_assert_eq!(got, Some(msg));
+    }
+}
+
+// --- differential: pull decoder vs the reference tree walk -----------------
+
+/// Both decoders return the same `Ok` message (compared through `Debug`, so
+/// NaN fields compare equal) or both return `Err`; likewise the tree
+/// builder against the reference parser.
+fn decoders_agree(doc: &str) -> Result<(), TestCaseError> {
+    match (Message::decode(doc), reference::decode(doc)) {
+        (Ok(new), Ok(old)) => prop_assert_eq!(format!("{new:?}"), format!("{old:?}"), "{doc:?}"),
+        (Err(_), Err(_)) => {}
+        (new, old) => {
+            return Err(TestCaseError(format!(
+                "decoders disagree on {doc:?}: pull {new:?}, reference {old:?}"
+            )))
+        }
+    }
+    match (ars_xmlwire::parse(doc), reference::parse(doc)) {
+        (Ok(new), Ok(old)) => prop_assert_eq!(new, old, "{doc:?}"),
+        (Err(_), Err(_)) => {}
+        (new, old) => {
+            return Err(TestCaseError(format!(
+                "parsers disagree on {doc:?}: pull {new:?}, reference {old:?}"
+            )))
+        }
+    }
+    Ok(())
+}
+
+/// Bytes an edit inserts or writes: the XML-significant ones plus letters.
+const EDIT_BYTES: &[u8] = b"<>/&;\"'= !-?#xXamplgtquos";
+
+/// Up to four byte edits — (0 delete | 1 insert | 2 replace, where, byte)
+/// — applied to `doc`. Documents are ASCII and so are the edits, so the
+/// result is still a `str`.
+fn edit(doc: &str, edits: &[(u8, prop::sample::Index, usize)]) -> String {
+    let mut bytes = doc.as_bytes().to_vec();
+    for &(kind, at, byte) in edits {
+        let byte = EDIT_BYTES[byte % EDIT_BYTES.len()];
+        match kind {
+            0 if !bytes.is_empty() => {
+                bytes.remove(at.index(bytes.len()));
+            }
+            2 if !bytes.is_empty() => {
+                let i = at.index(bytes.len());
+                bytes[i] = byte;
+            }
+            _ => bytes.insert(at.index(bytes.len() + 1), byte),
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII in, ASCII out")
+}
+
+fn edits() -> impl Strategy<Value = Vec<(u8, prop::sample::Index, usize)>> {
+    proptest::collection::vec((0u8..3, any::<prop::sample::Index>(), 0usize..64), 1..5)
+}
+
+#[test]
+fn decoders_agree_on_the_golden_corpus_and_every_single_byte_deletion() {
+    for msg in corpus() {
+        let doc = msg.to_document();
+        decoders_agree(&doc).unwrap();
+        for i in 0..doc.len() {
+            let mut cut = doc.clone();
+            cut.remove(i);
+            decoders_agree(&cut).unwrap();
+        }
+    }
+}
+
+proptest! {
+    /// Arbitrary messages decode identically through both decoders.
+    #[test]
+    fn decoders_agree_on_arbitrary_messages(msg in message_strategy()) {
+        decoders_agree(&msg.to_document())?;
+    }
+
+    /// Byte-edited golden documents: both decoders accept the same ones,
+    /// with the same value, and reject the rest.
+    #[test]
+    fn decoders_agree_on_edited_golden_documents(
+        pick in any::<prop::sample::Index>(),
+        edits in edits(),
+    ) {
+        let corpus = corpus();
+        let doc = corpus[pick.index(corpus.len())].to_document();
+        decoders_agree(&edit(&doc, &edits))?;
+    }
+
+    /// Byte-edited documents of arbitrary messages of every variant.
+    #[test]
+    fn decoders_agree_on_edited_documents(msg in message_strategy(), edits in edits()) {
+        decoders_agree(&edit(&msg.to_document(), &edits))?;
     }
 }

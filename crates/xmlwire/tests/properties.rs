@@ -30,10 +30,10 @@ fn element_strategy() -> impl Strategy<Value = XmlElement> {
                     el.attrs.push((k, v));
                 }
             }
+            // A leaf's text is its sole content, kept verbatim even when
+            // it is whitespace.
             if let Some(t) = text {
-                if !t.trim().is_empty() {
-                    el.children.push(XmlNode::Text(t));
-                }
+                el.children.push(XmlNode::Text(t));
             }
             el
         });
@@ -54,17 +54,17 @@ proptest! {
     fn xml_roundtrip(el in element_strategy()) {
         let doc = el.to_document();
         let parsed = parse(&doc).unwrap();
-        prop_assert_eq!(parsed, normalize(el));
+        prop_assert_eq!(parsed, el);
     }
 
-    /// Text with every escapable character survives.
+    /// Text with every escapable character survives, whitespace-only
+    /// text and line breaks included.
     #[test]
-    fn escaping_roundtrip(t in proptest::string::string_regex("[ -~]{0,60}").unwrap()) {
+    fn escaping_roundtrip(t in proptest::string::string_regex("[ -~\n\r\t]{0,60}").unwrap()) {
         let el = XmlElement::new("t").text(t.clone());
         let doc = el.to_document();
         let parsed = parse(&doc).unwrap();
-        let expect = if t.trim().is_empty() { String::new() } else { t };
-        prop_assert_eq!(parsed.text_content(), expect);
+        prop_assert_eq!(parsed.text_content(), t);
     }
 
     /// Heartbeats with arbitrary metric bags round-trip.
@@ -107,18 +107,4 @@ proptest! {
         let back = ApplicationSchema::from_document(&s.to_document()).unwrap();
         prop_assert_eq!(back, s);
     }
-}
-
-/// The parser drops whitespace-only text nodes; mirror that for comparison.
-fn normalize(mut el: XmlElement) -> XmlElement {
-    el.children = el
-        .children
-        .into_iter()
-        .filter_map(|n| match n {
-            XmlNode::Text(t) if t.trim().is_empty() => None,
-            XmlNode::Element(e) => Some(XmlNode::Element(normalize(e))),
-            other => Some(other),
-        })
-        .collect();
-    el
 }

@@ -42,6 +42,13 @@ echo "== checkpoint codec matrix =="
 # reader fuzz properties past the default-case pass above.
 PROPTEST_CASES=2000 cargo test --release -q -p ars-hpcm --test properties
 
+echo "== wire codec matrix =="
+# Widens the XML codec round-trip (codec_fidelity), the pull decoder's
+# differential against the reference tree-walking decoder (golden corpus,
+# arbitrary messages, byte-edited documents of every variant) and the
+# byte-level FrameReader fuzz past the default-case pass above.
+PROPTEST_CASES=2000 cargo test --release -q -p ars-xmlwire
+
 echo "== event queue model check =="
 # Widens the queue-vs-reference-map property (random push / pop / peek /
 # cancel interleavings, stale cancels of recycled slots, bounded slot table)
