@@ -1,40 +1,32 @@
-//! Wall-clock scaling of the DES kernel: settle-everything baseline vs the
-//! O(touched)-work path (dirty-set settlement, incremental fair-share
-//! rates, indexed first-fit), on the heartbeat + migration scenario.
+//! Wall-clock scaling of the DES kernel on the heartbeat + migration
+//! scenario.
 //!
 //! Cells:
 //!
-//! * **flat, both modes** at N ∈ {64, 256, 1024} — the baseline is
-//!   O(N) work per event, so it is only affordable at these sizes;
-//! * **flat, optimized only** at N ∈ {4096, 16384, 65536} — the arena /
-//!   allocation-free path carrying the scenario to cluster scale;
+//! * **flat** at N ∈ {64, 256, 1024, 4096, 16384, 65536} — one registry,
+//!   the dirty-set / arena kernel carrying the scenario to cluster scale;
 //! * **hierarchical** (root + 8 leaf registries) at N = 1024 and 4096;
-//! * **sharded** (k independent domains under the shard coordinator,
-//!   parallel workers) at N = 4096, 16384 and 65536.
+//! * **sharded** (8 independent flat runs of N / 8 hosts, one thread
+//!   each) at N = 4096, 16384 and 65536.
 //!
-//! Before timing anything the two modes are run with tracing at the
-//! smallest N and their event traces must match line for line — the
-//! baseline flags exist to measure the same computation, not a different
-//! one. Every cell records events/sec and the peak RSS it added
-//! (`VmHWM`, reset via `/proc/self/clear_refs` before each cell; 0 where
-//! the kernel interface is unavailable). Results land in
-//! `BENCH_scale.json` in the working directory.
+//! Every cell records events/sec and the peak RSS it added (`VmHWM`, reset
+//! via `/proc/self/clear_refs` before each cell; 0 where the kernel
+//! interface is unavailable). Results land in `BENCH_scale.json` in the
+//! working directory.
 //!
 //! `--smoke` runs the N = 4096 hierarchical + sharded cells only (the CI
 //! gate), without touching BENCH_scale.json.
 
 use ars_bench::scale::{
-    heartbeat_migration, hierarchical_migration, sharded_migration, ScaleMode, ScaleRun, RUN_S,
+    heartbeat_migration, hierarchical_migration, sharded_migration, ScaleRun, RUN_S,
 };
 use std::time::Instant;
 
 const SEED: u64 = 11;
-/// Sizes where the O(N²) baseline is still affordable.
-const SIZES_BOTH: [usize; 3] = [64, 256, 1024];
-/// Optimized-path-only sizes. The baseline bends quadratically (27.8 s at
-/// N = 1024 on the reference box → projected ~30 min at N = 16384), so
-/// these cells only run the optimized kernel.
-const SIZES_OPT: [usize; 3] = [4096, 16384, 65536];
+/// Flat-cell sizes.
+const SIZES: [usize; 6] = [64, 256, 1024, 4096, 16384, 65536];
+/// Sharded-cell sizes.
+const SIZES_SHARDED: [usize; 3] = [4096, 16384, 65536];
 /// Leaf-registry count for the hierarchical cells.
 const DOMAINS: usize = 8;
 /// Shard count for the sharded cells (hosts split evenly).
@@ -104,7 +96,7 @@ fn smoke() {
     let hier = measure("hier", 4096, || hierarchical_migration(4096, DOMAINS, SEED));
     assert!(hier.migrations >= 1, "hierarchical smoke never migrated");
     let shard = measure("sharded", 4096, || {
-        sharded_migration(SHARDS, 4096 / SHARDS, SEED, true, false)
+        sharded_migration(SHARDS, 4096 / SHARDS, SEED, false)
     });
     assert_eq!(
         shard.migrations, SHARDS,
@@ -119,49 +111,13 @@ fn main() {
         return;
     }
 
-    let trace_n = SIZES_BOTH[0];
-    println!("trace-equivalence gate: N = {trace_n}, both kernel modes, tracing on");
-    let base = heartbeat_migration(trace_n, SEED, ScaleMode::Baseline, true);
-    let opt = heartbeat_migration(trace_n, SEED, ScaleMode::Optimized, true);
-    let (bt, ot) = (base.trace.unwrap(), opt.trace.unwrap());
-    assert_eq!(
-        bt.len(),
-        ot.len(),
-        "trace lengths differ between kernel modes"
-    );
-    for (i, (b, o)) in bt.iter().zip(&ot).enumerate() {
-        assert_eq!(b, o, "trace diverges at event {i}");
-    }
-    assert!(base.migrations >= 1, "scenario never migrated");
-    println!(
-        "  identical: {} events, {} migration(s)\n",
-        bt.len(),
-        base.migrations
-    );
-
     println!(
         "{:>12} {:>8} {:>13} {:>19} {:>16} {:>15} {:>12}",
         "cell", "hosts", "wall", "throughput", "peak rss", "migrations", "nic util"
     );
     let mut cells: Vec<Cell> = Vec::new();
-    for &n in &SIZES_BOTH {
-        let b = measure("baseline", n, || {
-            heartbeat_migration(n, SEED, ScaleMode::Baseline, false)
-        });
-        let o = measure("optimized", n, || {
-            heartbeat_migration(n, SEED, ScaleMode::Optimized, false)
-        });
-        assert_eq!(
-            b.migrations, o.migrations,
-            "kernel modes disagree on migration count at N = {n}"
-        );
-        cells.push(b);
-        cells.push(o);
-    }
-    for &n in &SIZES_OPT {
-        let o = measure("optimized", n, || {
-            heartbeat_migration(n, SEED, ScaleMode::Optimized, false)
-        });
+    for &n in &SIZES {
+        let o = measure("flat", n, || heartbeat_migration(n, SEED, false));
         assert!(o.migrations >= 1, "no migration at N = {n}");
         cells.push(o);
     }
@@ -170,9 +126,9 @@ fn main() {
         assert!(h.migrations >= 1, "hierarchical cell never migrated");
         cells.push(h);
     }
-    for &n in &SIZES_OPT {
+    for &n in &SIZES_SHARDED {
         let s = measure("sharded", n, || {
-            sharded_migration(SHARDS, n / SHARDS, SEED, true, false)
+            sharded_migration(SHARDS, n / SHARDS, SEED, false)
         });
         assert_eq!(s.migrations, SHARDS, "a shard failed to migrate at N = {n}");
         cells.push(s);
@@ -184,17 +140,9 @@ fn main() {
     json.push_str(&format!(
         "  \"scenario\": \"heartbeat + migration, {RUN_S} s simulated, seed {SEED}\",\n"
     ));
-    json.push_str(&format!("  \"trace_equivalence_n\": {trace_n},\n"));
-    json.push_str("  \"trace_equivalent\": true,\n");
     json.push_str(&format!(
-        "  \"baseline_ceiling\": \"baseline cells stop at N = {}: per-event work is O(N), \
-         so wall-clock grows ~quadratically with cluster size\",\n",
-        SIZES_BOTH[SIZES_BOTH.len() - 1]
-    ));
-    json.push_str(&format!(
-        "  \"sharded\": {{\"shards\": {SHARDS}, \"parallel\": true, \
-         \"note\": \"byte-identical to the sequential interleaving; wall-clock gain needs \
-         more than the {} core(s) this run had\"}},\n",
+        "  \"sharded\": {{\"shards\": {SHARDS}, \"threads\": {SHARDS}, \
+         \"note\": \"independent flat runs, one scoped thread each, on {} core(s)\"}},\n",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     json.push_str(
@@ -229,17 +177,4 @@ fn main() {
     json.push_str("}\n");
     std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
     println!("\nwrote BENCH_scale.json");
-
-    let base_1024 = cells
-        .iter()
-        .find(|c| c.kind == "baseline" && c.n_hosts == 1024)
-        .unwrap();
-    let opt_1024 = cells
-        .iter()
-        .find(|c| c.kind == "optimized" && c.n_hosts == 1024)
-        .unwrap();
-    let speedup = base_1024.wall_s / opt_1024.wall_s;
-    if speedup < 5.0 {
-        eprintln!("warning: N = 1024 speedup {speedup:.1}x below the 5x target");
-    }
 }

@@ -1,8 +1,8 @@
 //! # ars-bench — the paper-reproduction harness
 //!
 //! One scenario function per experiment; the `src/bin/*` binaries print the
-//! exact rows/series the paper's tables and figures report, and
-//! `benches/microbench.rs` holds the Criterion microbenchmarks.
+//! exact rows/series the paper's tables and figures report. Per-layer
+//! microbenchmarks live in the performance ledger (`benchmark/src/micro.rs`).
 //!
 //! | Paper artefact | Scenario | Binary |
 //! |---|---|---|

@@ -1,20 +1,6 @@
 //! The `bench_scale` scenario: an N-workstation cluster under push-model
-//! heartbeats with one host overloading and migrating its application.
-//!
-//! The same scenario runs in two kernel modes so the wall-clock difference
-//! isolates the O(touched)-work settlement path:
-//!
-//! * **baseline** — `SimConfig::baseline_full_resync` and
-//!   `RegistryConfig::linear_first_fit` both set: every event settles every
-//!   host and destination selection scans the whole host table.
-//! * **optimized** — the default dirty-set / indexed path.
-//!
-//! The network has one implementation in both modes (`ars-simnet`'s dense
-//! flow table; its settle-everything twin lives on only as that crate's
-//! test-side reference model).
-//!
-//! Both modes must produce the identical event trace; `bench_scale` asserts
-//! that at the smallest N before timing anything.
+//! heartbeats with one host overloading and migrating its application,
+//! run flat, under a registry tree, or as independent shards on threads.
 
 use ars_apps::{DaemonNoise, PollDaemon, Spinner, TestTree, TestTreeConfig};
 use ars_hpcm::{HpcmConfig, HpcmHooks, MigratableApp};
@@ -23,28 +9,19 @@ use ars_rescheduler::{
     RegistryScheduler, ReschedHooks, SchemaBook, StateSource,
 };
 use ars_rules::{MonitoringFrequency, Policy};
-use ars_sim::{run_sharded, HostId, ShardSpec, ShardedConfig, Sim, SimConfig, SpawnOpts};
+use ars_sim::{HostId, Sim, SimConfig, SpawnOpts, TraceEvent};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 use ars_simnet::NodeId;
 use ars_sysinfo::Ambient;
 use std::sync::Arc;
 
-/// Which kernel paths the run exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleMode {
-    /// Settle-everything baseline (all `baseline_*` flags set).
-    Baseline,
-    /// The default O(touched)-work path.
-    Optimized,
-}
-
 /// Result of one scenario run.
 pub struct ScaleRun {
     /// Completed migrations (must be ≥ 1 or the scenario is vacuous).
     pub migrations: usize,
-    /// Rendered trace events when recording was requested.
-    pub trace: Option<Vec<String>>,
+    /// Kernel trace events when recording was requested.
+    pub trace: Option<Vec<TraceEvent>>,
     /// Kernel events handled (the events/sec numerator).
     pub events_handled: u64,
     /// Fraction of the registry host's NIC receive capacity consumed over
@@ -62,11 +39,6 @@ fn registry_nic_util(sim: &Sim) -> f64 {
     net.rx_bytes(NodeId(0)) / (net.config().nic_bytes_per_sec * RUN_S as f64)
 }
 
-/// Render a trace event the way every equivalence gate compares them.
-pub fn render_event(e: &ars_sim::TraceEvent) -> String {
-    format!("{:?} {:?} {}", e.t, e.kind, e.detail)
-}
-
 /// Simulated horizon of the scenario, seconds.
 pub const RUN_S: u64 = 900;
 
@@ -77,43 +49,21 @@ pub const RUN_S: u64 = 900;
 /// starts on host 1; two spinners arrive there at t = 100 s, the monitor
 /// confirms the overload and the registry picks a destination among the
 /// other `n_hosts - 1` free workstations.
-pub fn heartbeat_migration(
-    n_hosts: usize,
-    seed: u64,
-    mode: ScaleMode,
-    record_trace: bool,
-) -> ScaleRun {
-    let (mut sim, hpcm) = build_scale_sim(n_hosts, seed, mode, record_trace);
+pub fn heartbeat_migration(n_hosts: usize, seed: u64, record_trace: bool) -> ScaleRun {
+    let (mut sim, hpcm) = build_scale_sim(n_hosts, seed, record_trace);
     sim.run_until(SimTime::from_secs(RUN_S));
-
-    let trace = record_trace.then(|| {
-        sim.kernel()
-            .trace
-            .events()
-            .iter()
-            .map(render_event)
-            .collect()
-    });
     ScaleRun {
         migrations: hpcm.migration_count(),
-        trace,
+        trace: record_trace.then(|| sim.kernel().trace.events().to_vec()),
         events_handled: sim.kernel().events_handled(),
         registry_nic_util: registry_nic_util(&sim),
     }
 }
 
 /// Build the flat scenario and run it to t = 100 s (overload injected,
-/// spinners running). [`heartbeat_migration`] finishes it in one
-/// `run_until`; the sharded cells hand the sim to the shard coordinator,
-/// which drives the rest in epochs.
-fn build_scale_sim(
-    n_hosts: usize,
-    seed: u64,
-    mode: ScaleMode,
-    record_trace: bool,
-) -> (Sim, HpcmHooks) {
+/// spinners running); [`heartbeat_migration`] finishes it.
+fn build_scale_sim(n_hosts: usize, seed: u64, record_trace: bool) -> (Sim, HpcmHooks) {
     assert!(n_hosts >= 2, "need a migration destination");
-    let baseline = mode == ScaleMode::Baseline;
     let mut sim = Sim::new(
         (0..=n_hosts)
             .map(|i| HostConfig::named(format!("ws{i}")))
@@ -121,7 +71,6 @@ fn build_scale_sim(
         SimConfig {
             seed,
             trace: record_trace,
-            baseline_full_resync: baseline,
             ..SimConfig::default()
         },
     );
@@ -134,7 +83,6 @@ fn build_scale_sim(
             {
                 let mut c = RegistryConfig::new(Policy::paper_policy2());
                 c.name = "registry@h0".to_string();
-                c.linear_first_fit = baseline;
                 c
             },
             schemas.clone(),
@@ -185,8 +133,8 @@ fn build_scale_sim(
         );
         // Plus the polling services every real workstation runs (session
         // manager, network daemons): frequent single-host wake-ups with no
-        // CPU load — the event class where per-event O(cluster) work in the
-        // baseline kernel is pure overhead.
+        // CPU load — the event class where any per-event O(cluster) work in
+        // the kernel would be pure overhead.
         sim.spawn(
             host,
             Box::new(PollDaemon::new(0.5)),
@@ -231,79 +179,41 @@ fn build_scale_sim(
     (sim, hpcm)
 }
 
-/// Epoch length for the sharded cells: exchanges happen every simulated
-/// 100 s. The shard scenarios are fully separable (no cross-shard
-/// traffic), so the epoch only determines where `run_until` is split.
-pub const SHARD_EPOCH_S: u64 = 100;
-
-/// The flat scenario run as `shards` independent sub-simulations of
-/// `hosts_per_shard` workstations each (shard `i` uses `seed + i`), under
-/// the sharded kernel. With `parallel` the shards run on worker threads;
-/// either way the merged trace and per-shard migration counts are
-/// deterministic and identical to the sequential interleaving.
+/// The flat scenario run as `shards` independent simulations of
+/// `hosts_per_shard` workstations each (shard `i` uses `seed + i`), one
+/// scoped thread per shard. Each thread builds and drops its own [`Sim`],
+/// so nothing that is not `Send` crosses threads; only the results do. The
+/// merged trace orders events by time, ties in shard order, and each
+/// shard's part of it is exactly a plain [`heartbeat_migration`] trace.
 pub fn sharded_migration(
     shards: usize,
     hosts_per_shard: usize,
     seed: u64,
-    parallel: bool,
     record_trace: bool,
 ) -> ScaleRun {
-    let specs: Vec<ShardSpec<(), (usize, f64)>> = (0..shards)
-        .map(|_| {
-            ShardSpec::isolated(move |idx| {
-                let (sim, hpcm) = build_scale_sim(
-                    hosts_per_shard,
-                    seed + idx as u64,
-                    ScaleMode::Optimized,
-                    record_trace,
-                );
-                let finish = move |sim: Sim| (hpcm.migration_count(), registry_nic_util(&sim));
-                (sim, finish)
-            })
-        })
-        .collect();
-    let run = run_sharded(
-        specs,
-        ShardedConfig {
-            epoch: SimDuration::from_secs(SHARD_EPOCH_S),
-            until: SimTime::from_secs(RUN_S),
-            parallel,
-        },
-    );
+    let runs: Vec<ScaleRun> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..shards as u64)
+            .map(|i| s.spawn(move || heartbeat_migration(hosts_per_shard, seed + i, record_trace)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("shard thread panicked"))
+            .collect()
+    });
     ScaleRun {
-        migrations: run.outputs.iter().map(|(m, _)| m).sum(),
-        trace: record_trace.then(|| run.trace.iter().map(render_event).collect()),
-        events_handled: run.events_handled,
-        registry_nic_util: run.outputs.iter().map(|&(_, u)| u).fold(0.0, f64::max),
-    }
-}
-
-/// The flat scenario driven exactly the way a single shard experiences
-/// it: built to t = 100 s, then `run_until` at every epoch barrier. The
-/// sharded-vs-single byte-identity gate compares against this (epoch
-/// splitting legitimately re-times float settlement, so the monolithic
-/// single-`run_until` trace is not the right reference).
-pub fn sharded_single_reference(n_hosts: usize, seed: u64) -> ScaleRun {
-    let (mut sim, hpcm) = build_scale_sim(n_hosts, seed, ScaleMode::Optimized, true);
-    let mut t = SimTime::ZERO + SimDuration::from_secs(SHARD_EPOCH_S);
-    let until = SimTime::from_secs(RUN_S);
-    while t < until {
-        sim.run_until(t);
-        t += SimDuration::from_secs(SHARD_EPOCH_S);
-    }
-    sim.run_until(until);
-    ScaleRun {
-        migrations: hpcm.migration_count(),
-        trace: Some(
-            sim.kernel()
-                .trace
-                .events()
-                .iter()
-                .map(render_event)
-                .collect(),
-        ),
-        events_handled: sim.kernel().events_handled(),
-        registry_nic_util: registry_nic_util(&sim),
+        migrations: runs.iter().map(|r| r.migrations).sum(),
+        events_handled: runs.iter().map(|r| r.events_handled).sum(),
+        registry_nic_util: runs.iter().map(|r| r.registry_nic_util).fold(0.0, f64::max),
+        trace: record_trace.then(|| {
+            let mut events: Vec<TraceEvent> = runs
+                .into_iter()
+                .flat_map(|r| r.trace.unwrap_or_default())
+                .collect();
+            // Stable on time only: ties keep shard order, and each shard's
+            // own events keep their kernel order.
+            events.sort_by_key(|e| e.t);
+            events
+        }),
     }
 }
 

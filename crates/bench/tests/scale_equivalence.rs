@@ -1,38 +1,15 @@
-//! Deterministic-equivalence tests: the dirty-set / incremental / indexed
-//! kernel paths must produce exactly the trace the settle-everything
-//! baseline produces, event for event, on the full heartbeat + migration
-//! scenario.
+//! The 16-host heartbeat + migration scenario at three seeds. Debug builds
+//! check after every kernel event that the dirty-set settlement left no
+//! completion schedule stale (`Kernel::debug_schedule_current`), so these
+//! runs are also that check's widest workout outside the chaos suite.
 
-use ars_bench::scale::{heartbeat_migration, ScaleMode};
-
-fn assert_modes_agree(n_hosts: usize, seed: u64) {
-    let full = heartbeat_migration(n_hosts, seed, ScaleMode::Baseline, true);
-    let dirty = heartbeat_migration(n_hosts, seed, ScaleMode::Optimized, true);
-    let a = full.trace.expect("baseline trace recorded");
-    let b = dirty.trace.expect("optimized trace recorded");
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "trace length differs (seed {seed}): {} vs {}",
-        a.len(),
-        b.len()
-    );
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x, y, "trace diverges at event {i} (seed {seed})");
-    }
-    assert_eq!(full.migrations, dirty.migrations);
-}
-
-#[test]
-fn sixteen_host_trace_identical_dirty_vs_full() {
-    for seed in [7, 11, 23] {
-        assert_modes_agree(16, seed);
-    }
-}
+use ars_bench::scale::heartbeat_migration;
 
 #[test]
 fn sixteen_host_scenario_actually_migrates() {
     // Guard against the scenario degenerating into a no-op benchmark.
-    let run = heartbeat_migration(16, 7, ScaleMode::Optimized, false);
-    assert!(run.migrations >= 1, "expected at least one migration");
+    for seed in [7, 11, 23] {
+        let run = heartbeat_migration(16, seed, false);
+        assert!(run.migrations >= 1, "expected a migration (seed {seed})");
+    }
 }

@@ -1,15 +1,14 @@
 //! Gates for the scaling machinery: arbitrary-depth registry trees must
 //! reschedule the same overload the flat and two-level deployments do,
-//! and the sharded kernel must be byte-identical across its parallel,
-//! sequential and single-shard modes.
+//! and threaded shards must be exactly the runs they stand for.
 
 use ars_apps::Spinner;
 use ars_bench::scale::{
-    flat_migration, sharded_migration, sharded_single_reference, tree_migration, TreeRun,
+    flat_migration, heartbeat_migration, sharded_migration, tree_migration, TreeRun,
 };
 use ars_hpcm::{HpcmConfig, HpcmHooks, MigratableApp};
 use ars_rescheduler::{deploy_tree, DeployConfig};
-use ars_sim::{HostId, Sim, SimConfig, SpawnOpts};
+use ars_sim::{HostId, Sim, SimConfig, SpawnOpts, TraceEvent};
 use ars_simcore::{SimDuration, SimTime};
 use ars_simhost::HostConfig;
 
@@ -161,33 +160,50 @@ fn escalation_relays_through_the_root() {
 
 #[test]
 fn sharded_parallel_is_byte_identical_to_sequential() {
-    let seq = sharded_migration(4, 8, 11, false, true);
-    let par = sharded_migration(4, 8, 11, true, true);
-    assert_eq!(seq.migrations, 4, "every shard migrates once");
-    assert_eq!(par.migrations, 4);
-    assert_eq!(seq.events_handled, par.events_handled);
-    let a = seq.trace.unwrap();
-    let b = par.trace.unwrap();
-    assert_eq!(a.len(), b.len(), "merged trace length differs");
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x, y, "merged trace diverges at event {i}");
+    // The threaded shards must equal the same runs made one after another.
+    let shards = 4;
+    let threaded = sharded_migration(shards, 8, 11, true);
+    let runs: Vec<_> = (0..shards as u64)
+        .map(|i| heartbeat_migration(8, 11 + i, true))
+        .collect();
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(run.migrations, 1, "shard {i} must migrate once");
     }
+    assert_eq!(threaded.migrations, shards);
+    assert_eq!(
+        threaded.events_handled,
+        runs.iter().map(|r| r.events_handled).sum::<u64>()
+    );
+    // The merged trace is the shard traces interleaved by time, ties in
+    // shard order: a stable time sort of their concatenation.
+    let mut sequential: Vec<_> = runs
+        .into_iter()
+        .flat_map(|r| r.trace.expect("trace recorded"))
+        .collect();
+    sequential.sort_by_key(|e| e.t);
+    let render = |events: &[TraceEvent]| -> Vec<String> {
+        events.iter().map(|e| format!("{e:?}")).collect()
+    };
+    let merged = threaded.trace.expect("trace recorded");
+    assert_eq!(render(&merged), render(&sequential));
 }
 
 #[test]
 fn single_shard_is_byte_identical_to_unsharded_kernel() {
-    // One shard, driven by the coordinator's epoch barriers, must match a
-    // plain Sim driven with the same run_until boundaries — the sharding
-    // layer adds nothing to the trace.
-    let reference = sharded_single_reference(8, 11);
-    for parallel in [false, true] {
-        let one = sharded_migration(1, 8, 11, parallel, true);
-        assert_eq!(one.migrations, reference.migrations);
-        assert_eq!(one.events_handled, reference.events_handled);
-        assert_eq!(
-            one.trace.unwrap(),
-            reference.trace.clone().unwrap(),
-            "single shard diverged from the plain kernel (parallel={parallel})"
-        );
-    }
+    // One shard is a plain heartbeat_migration run on its own thread: the
+    // sharding layer must add, drop or reorder nothing.
+    let one = sharded_migration(1, 8, 11, true);
+    let plain = heartbeat_migration(8, 11, true);
+    assert_eq!(one.migrations, 1, "the single shard migrates once");
+    assert_eq!(one.migrations, plain.migrations);
+    assert_eq!(one.events_handled, plain.events_handled);
+    assert_eq!(one.registry_nic_util, plain.registry_nic_util);
+    let render = |events: &[TraceEvent]| -> Vec<String> {
+        events.iter().map(|e| format!("{e:?}")).collect()
+    };
+    assert_eq!(
+        render(&one.trace.expect("trace recorded")),
+        render(&plain.trace.expect("trace recorded")),
+        "single shard diverged from the plain kernel"
+    );
 }

@@ -130,29 +130,11 @@ impl Domain {
     ///
     /// Only hosts whose last reported state accepts a migration can pass
     /// [`dest_reject`](Self::dest_reject) (lease expiry only disqualifies),
-    /// so the default search walks the free-host set — ascending
-    /// registration index, i.e. exactly the linear scan's first-fit order
-    /// — while `linear_first_fit` scans the whole list for baseline
-    /// benchmarking. `Obs` hooks are guarded so the disabled path does no
-    /// recording work at all.
+    /// so the search walks the free-host set — ascending registration
+    /// index, i.e. exactly a linear scan's first-fit order. `Obs` hooks are
+    /// guarded so the disabled path does no recording work at all.
     pub(super) fn first_fit(
         &self,
-        req: &ResourceRequirements,
-        exclude: &str,
-        now: SimTime,
-    ) -> Option<usize> {
-        if self.cfg.linear_first_fit {
-            self.first_fit_scan(0..self.hosts.len(), req, exclude, now)
-        } else {
-            self.first_fit_scan(self.free_hosts.iter().copied(), req, exclude, now)
-        }
-    }
-
-    /// The shared scan body behind [`first_fit`](Self::first_fit); generic
-    /// over the index order so neither scan allocates.
-    fn first_fit_scan(
-        &self,
-        indices: impl Iterator<Item = usize>,
         req: &ResourceRequirements,
         exclude: &str,
         now: SimTime,
@@ -160,7 +142,7 @@ impl Domain {
         let recording = self.cfg.obs.is_enabled();
         let mut scanned = 0u64;
         let mut found = None;
-        for i in indices {
+        for &i in &self.free_hosts {
             scanned += 1;
             let e = &self.hosts[i];
             match self.dest_reject(e, req, exclude, now) {
@@ -549,14 +531,9 @@ mod tests {
             .destination_for(&req, "a", at(1.0))
             .map(|e| e.name.to_string());
         assert_eq!(dest, Some("c".to_string()));
-        // And nothing qualifies when even c is excluded as the source.
-        assert!(
-            core.destination_for(&req, "c", at(1.0)).is_none()
-                || core
-                    .destination_for(&req, "c", at(1.0))
-                    .map(|e| e.name.as_ref())
-                    != Some("c")
-        );
+        // And nothing qualifies when c is the source: a is overloaded, b is
+        // starved and c is excluded.
+        assert!(core.destination_for(&req, "c", at(1.0)).is_none());
     }
 
     #[test]
@@ -597,36 +574,51 @@ mod tests {
 
     #[test]
     fn indexed_and_linear_first_fit_agree() {
-        let build = |linear: bool| {
-            let mut cfg = RegistryConfig::new(Policy::paper_policy2());
-            cfg.linear_first_fit = linear;
-            let mut core = RegistryCore::new(cfg, SchemaBook::new());
-            for (i, name) in ["a", "b", "c", "d", "e"].iter().enumerate() {
-                let conn = 10 * (i as u64 + 1);
-                register(&mut core, 0.0, conn, name);
-                let state = match i % 3 {
-                    0 => HostState::Overloaded,
-                    1 => HostState::Busy,
-                    _ => HostState::Free,
-                };
-                heartbeat(&mut core, 1.0, conn, name, state, good_metrics(), vec![]);
+        let mut core = RegistryCore::new(
+            RegistryConfig::new(Policy::paper_policy2()),
+            SchemaBook::new(),
+        );
+        // "stale" reports Free first and then goes silent past its lease:
+        // it stays in the free-host index, and only `dest_reject` keeps it
+        // from being the first fit.
+        register(&mut core, 0.0, 10, "stale");
+        heartbeat(
+            &mut core,
+            1.0,
+            10,
+            "stale",
+            HostState::Free,
+            good_metrics(),
+            vec![],
+        );
+        let names = ["a", "b", "c", "d", "e"];
+        for (i, name) in names.iter().enumerate() {
+            let conn = 10 * (i as u64 + 2);
+            register(&mut core, 0.0, conn, name);
+            let state = match i % 3 {
+                0 => HostState::Overloaded,
+                1 => HostState::Busy,
+                _ => HostState::Free,
+            };
+            for t in [1.0, 40.0] {
+                heartbeat(&mut core, t, conn, name, state, good_metrics(), vec![]);
             }
-            core
-        };
-        let indexed = build(false);
-        let linear = build(true);
-        let req = ResourceRequirements::default();
-        for exclude in ["a", "b", "c", "d", "e", "none"] {
-            assert_eq!(
-                indexed
-                    .destination_for(&req, exclude, at(1.0))
-                    .map(|e| e.name.clone()),
-                linear
-                    .destination_for(&req, exclude, at(1.0))
-                    .map(|e| e.name.clone()),
-                "exclude={exclude}"
-            );
         }
+        let now = at(40.0);
+        let d = &core.domain;
+        assert!(d.free_hosts.contains(&0), "the stale host is still indexed");
+        let req = ResourceRequirements::default();
+        for exclude in ["stale", "a", "b", "c", "d", "e", "none"] {
+            let linear = (0..d.hosts.len())
+                .find(|&i| d.dest_reject(&d.hosts[i], &req, exclude, now).is_none());
+            assert_eq!(d.first_fit(&req, exclude, now), linear, "exclude={exclude}");
+        }
+        assert_eq!(
+            core.destination_for(&req, "none", now)
+                .map(|e| e.name.as_ref()),
+            Some("c"),
+            "the lease-expired host must not be picked"
+        );
     }
 
     #[test]

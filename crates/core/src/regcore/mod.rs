@@ -181,11 +181,6 @@ pub struct RegistryConfig {
     /// status when a decision is expected, and decide once all replies are
     /// in. More accurate data, slower decisions.
     pub pull: bool,
-    /// Scan the whole machine list on every destination search (the
-    /// original first-fit) instead of only the hosts whose last reported
-    /// state can accept a migration. Results are identical; this exists so
-    /// `bench_scale` can measure the indexed search against a live baseline.
-    pub linear_first_fit: bool,
     /// How long to wait for a commander's [`Message::CommandAck`] before
     /// retransmitting a migration command (doubles per attempt).
     pub ack_timeout: SimDuration,
@@ -222,7 +217,6 @@ impl RegistryConfig {
             name: "root".to_string(),
             selection: SelectionPolicy::default(),
             pull: false,
-            linear_first_fit: false,
             ack_timeout: SimDuration::from_secs(5),
             max_command_retries: 3,
             health_report_every: SimDuration::from_secs(10),

@@ -20,7 +20,6 @@ pub mod ids;
 pub mod message;
 pub mod program;
 pub mod recorder;
-pub mod shard;
 pub mod sim;
 pub mod trace;
 
@@ -32,6 +31,5 @@ pub use ids::{HostId, Pid};
 pub use message::{Envelope, Payload, RecvFilter, WIRE_HEADER_BYTES};
 pub use program::{Op, Program, SpawnOpts, Wake};
 pub use recorder::{HostSeries, Recorder};
-pub use shard::{run_sharded, ShardSession, ShardSpec, ShardedConfig, ShardedRun};
 pub use sim::{Kernel, Sim, SimConfig};
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -23,7 +23,7 @@ pub enum Payload {
     Bytes(Vec<u8>),
     /// A typed value and the byte length it is charged on the wire. The
     /// kernel never looks inside; `Arc` because envelopes are cloned
-    /// (fault-injected duplicates) and cross shard threads.
+    /// (fault-injected duplicates).
     Value(Arc<dyn Any + Send + Sync>, u64),
 }
 

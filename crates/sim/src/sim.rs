@@ -29,11 +29,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Record a structured event trace.
     pub trace: bool,
-    /// Re-examine every host and the network after each event (the original
-    /// O(events × hosts) behaviour) instead of only the entities the event
-    /// touched. Results are identical; this exists so `bench_scale` can
-    /// measure the dirty-set speedup against a live baseline.
-    pub baseline_full_resync: bool,
     /// Fault-injection schedule. The default (disabled) plan installs
     /// nothing: no events, no RNG draws, no interception — runs are
     /// byte-identical to a build without the fault layer.
@@ -52,7 +47,6 @@ impl Default for SimConfig {
             net: NetworkConfig::default(),
             seed: 0x5EED,
             trace: false,
-            baseline_full_resync: false,
             faults: FaultPlan::none(),
             obs: Obs::disabled(),
         }
@@ -375,6 +369,29 @@ impl Kernel {
         Some(jobs.swap_remove(i).1)
     }
 
+    /// True when a full resync now would change nothing: every host's
+    /// pending `CpuDone` was computed for its current CPU version (or none
+    /// is pending and none is due), and likewise the network's `NetDone`.
+    /// `run_until` asserts it after every event in debug builds, which is
+    /// what keeps the dirty-set bookkeeping honest.
+    #[doc(hidden)]
+    pub fn debug_schedule_current(&self) -> bool {
+        let now = self.now;
+        let hosts_current =
+            self.hosts
+                .iter()
+                .zip(&self.cpu_sched)
+                .all(|(host, sched)| match sched {
+                    Some((v, _)) => *v == host.cpu_version(),
+                    None => host.next_cpu_completion(now).is_none(),
+                });
+        let net_current = match self.net_sched {
+            Some((v, _)) => v == self.net.version(),
+            None => self.net.next_completion(now).is_none(),
+        };
+        hosts_current && net_current
+    }
+
     /// Note that `host`'s CPU job set may have changed; the next resync will
     /// re-examine its completion schedule. Idempotent and cheap.
     fn mark_cpu_dirty(&mut self, host: u32) {
@@ -569,6 +586,12 @@ impl Sim {
             self.handle(ev);
             self.apply_pending();
             self.resync();
+            debug_assert!(
+                self.kernel.debug_schedule_current(),
+                "stale completion schedule after event {} at {t:?}: it changed a \
+                 host or the network without marking it dirty",
+                self.kernel.events_handled
+            );
         }
         if t_end != SimTime::MAX {
             self.kernel.now = t_end;
@@ -1407,20 +1430,11 @@ impl Sim {
     /// when flagged) are re-examined: an event can only invalidate the
     /// schedule of an entity it mutated, and every mutation site marks its
     /// entity. Dirty hosts are visited in ascending id order — the same
-    /// order the old full scan used — so the events pushed (and therefore
+    /// order a full scan would use — so the events pushed (and therefore
     /// their queue sequence numbers, which break same-time ties) are
-    /// identical to the settle-everything baseline.
+    /// identical to re-examining everything. Debug builds check that claim
+    /// after every event ([`Kernel::debug_schedule_current`]).
     fn resync(&mut self) {
-        if self.kernel.config.baseline_full_resync {
-            self.kernel.dirty_hosts.clear();
-            self.kernel.dirty_cpu.fill(false);
-            self.kernel.net_dirty = false;
-            for i in 0..self.kernel.hosts.len() {
-                self.resync_host(i);
-            }
-            self.resync_net();
-            return;
-        }
         if !self.kernel.dirty_hosts.is_empty() {
             let mut dirty = std::mem::take(&mut self.kernel.dirty_hosts);
             dirty.sort_unstable();

@@ -589,6 +589,65 @@ fn kill_releases_resources() {
 }
 
 #[test]
+fn kill_mid_send_gives_the_link_to_the_other_flow() {
+    // Two 12.5 MB sends share one 12.5 MB/s link at 6.25 MB/s each. Killing
+    // one at t = 0.5 s must re-time the other: its remaining 9.375 MB then
+    // go at full rate, done at 1.25 s instead of the 2 s both would need.
+    let mut sim = two_hosts();
+    let send = |sim: &mut Sim, name: &'static str| {
+        let rx = sim.spawn(
+            HostId(1),
+            Box::new(Receiver {
+                filter: RecvFilter::any(),
+                got: None,
+            }),
+            SpawnOpts::named("rx"),
+        );
+        let tx = sim.spawn(
+            HostId(0),
+            Box::new(Sender {
+                to: rx,
+                bytes: 12_500_000,
+                text: name.to_string(),
+                sent_at: None,
+            }),
+            SpawnOpts::named(name),
+        );
+        (tx, rx)
+    };
+    let (victim, victim_rx) = send(&mut sim, "victim");
+    let (survivor, survivor_rx) = send(&mut sim, "survivor");
+    sim.run_until(t(0.5));
+    struct Killer {
+        victim: Pid,
+    }
+    impl Program for Killer {
+        fn on_wake(&mut self, ctx: &mut Ctx<'_>, wake: Wake) {
+            if let Wake::Started = wake {
+                ctx.kill(self.victim);
+                ctx.exit();
+            }
+        }
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+    sim.spawn(
+        HostId(0),
+        Box::new(Killer { victim }),
+        SpawnOpts::named("kill"),
+    );
+    sim.run_until(t(10.0));
+    assert_eq!(sim.exited_at(victim), Some(t(0.5)));
+    assert!(sim.is_alive(victim_rx), "the killed send never arrives");
+    assert_eq!(sim.exited_at(survivor), Some(t(1.25)));
+    assert_eq!(
+        sim.exited_at(survivor_rx),
+        Some(t(1.25) + SimDuration::from_micros(300))
+    );
+}
+
+#[test]
 fn identical_seeds_identical_runs() {
     let run = |seed: u64| -> Vec<(u64, String)> {
         let mut sim = Sim::new(

@@ -115,9 +115,11 @@ echo "== ledger identity (DES workloads at seed 11) =="
 timeout 300 scripts/ledger_identity.sh
 
 echo "== allocation lints (sim crates, checkpoint path) =="
-# The kernel hot path is allocation-free by construction, and a checkpoint
-# is sealed in place, never copied; deny the two lints that catch
-# clones/to_owned creeping back into either.
+# The kernel's own settlement and reaping reuse their buffers, and a
+# checkpoint is sealed in place, never copied; deny the two lints that catch
+# clones/to_owned creeping back into either. The per-event path as a whole
+# still allocates (11.0 allocations, ~610 B per event at 256 and 2048 hosts,
+# counted with a counting global allocator; README "Scaling").
 cargo clippy -p ars-sim -p ars-simcore -p ars-simnet -p ars-simhost -p ars-rescheduler \
     -p ars-hpcm --all-targets -- -D warnings -D clippy::unnecessary_to_owned -D clippy::redundant_clone
 
@@ -131,6 +133,6 @@ done
 cargo fmt "${fmt_packages[@]}" -- --check
 
 echo "== clippy =="
-cargo clippy --workspace --exclude proptest --exclude criterion --all-targets -- -D warnings
+cargo clippy --workspace --exclude proptest --all-targets -- -D warnings
 
 echo "ci: all green"

@@ -108,9 +108,8 @@ pub mod prelude {
         ResizeRule, RuleOp, RuleSet, SimpleRule,
     };
     pub use ars_sim::{
-        run_sharded, Ctx, Envelope, Fault, FaultPlan, FaultStats, HostId, MessageFaults, Payload,
-        Pid, Program, RecvFilter, ScheduleParams, ShardSession, ShardSpec, ShardedConfig,
-        ShardedRun, Sim, SimConfig, SpawnOpts, TraceKind, Wake, RESTART_SIGNAL,
+        Ctx, Envelope, Fault, FaultPlan, FaultStats, HostId, MessageFaults, Payload, Pid, Program,
+        RecvFilter, ScheduleParams, Sim, SimConfig, SpawnOpts, TraceKind, Wake, RESTART_SIGNAL,
     };
     pub use ars_simcore::{SimDuration, SimTime};
     pub use ars_simhost::HostConfig;
